@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -75,15 +74,6 @@ def _write_history(path: str, history) -> None:
     _write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def _resolve_threads(args) -> int:
-    threads = args.threads
-    if threads is None:
-        threads = int(os.environ.get("HDSL_THREADS", "0")) or None
-    # current implementation is single-process numpy; the flag is an upper
-    # bound that nothing exceeds
-    return threads or 1
-
-
 def _solver_config(args, T: int, val_fn=None, patience=None) -> SolverConfig:
     batch = args.batch if args.batch else max(1, min(T, 1000))
     try:
@@ -98,7 +88,6 @@ def _solver_config(args, T: int, val_fn=None, patience=None) -> SolverConfig:
             val_fn=val_fn,
             eval_every=args.eval_every,
             patience=patience if patience is not None else args.patience,
-            deterministic=args.deterministic,
         )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PRECONDITION) from exc
@@ -122,7 +111,6 @@ def _build_constraints(args, ds: Dataset) -> ConstraintSet:
 
 
 def cmd_train(args) -> int:
-    _resolve_threads(args)
     ds = _load_dataset(args.data, dim=args.dim)
     scales = None
     if args.normalize:
@@ -159,7 +147,6 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _resolve_threads(args)
     model = _load_model(args.model)
     train_ds = _load_dataset(args.train, dim=model.dim)
     test_ds = _load_dataset(args.test, dim=model.dim)
@@ -184,7 +171,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_project(args) -> int:
-    _resolve_threads(args)
     model = _load_model(args.model)
     ds = _load_dataset(args.data, dim=model.dim)
     proj = factorize(model)
@@ -202,7 +188,6 @@ def cmd_project(args) -> int:
 
 
 def cmd_synth_recovery(args) -> int:
-    _resolve_threads(args)
     rng = np.random.default_rng(args.seed)
     out = Path(args.out_dir)
     try:
@@ -254,7 +239,6 @@ def cmd_synth_recovery(args) -> int:
 
 
 def cmd_synth_link(args) -> int:
-    _resolve_threads(args)
     rng = np.random.default_rng(args.seed)
     out = Path(args.out_dir)
     try:
@@ -314,12 +298,6 @@ def cmd_synth_link(args) -> int:
     return 0
 
 
-def _add_common_flags(p):
-    p.add_argument("--threads", type=int, default=None, help="worker cap (single-threaded build)")
-    p.add_argument("--deterministic", action="store_true",
-                   help="bit-reproducible runs (reductions are always deterministic here)")
-
-
 def _add_solver_flags(p, lam_required=True):
     p.add_argument("--lambda", dest="lam", type=float, required=lam_required,
                    default=None, help="domain scale")
@@ -352,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.add_argument("--out", required=True)
     p_train.add_argument("--history", default=None)
     _add_solver_flags(p_train)
-    _add_common_flags(p_train)
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="k-NN error of a trained model")
@@ -361,14 +338,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--test", required=True)
     p_eval.add_argument("--k", type=int, default=3)
     p_eval.add_argument("--normalize", action="store_true")
-    _add_common_flags(p_eval)
     p_eval.set_defaults(func=cmd_eval)
 
     p_project = sub.add_parser("project", help="project data through the model factorization")
     p_project.add_argument("--model", required=True)
     p_project.add_argument("--data", required=True)
     p_project.add_argument("--out", required=True)
-    _add_common_flags(p_project)
     p_project.set_defaults(func=cmd_project)
 
     p_synth = sub.add_parser("synth", help="synthetic benchmark protocols")
@@ -384,7 +359,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--out-dir", dest="out_dir", required=True)
     p_rec.add_argument("--run", action="store_true", help="also train and report recovery AUCs")
     _add_solver_flags(p_rec, lam_required=False)
-    _add_common_flags(p_rec)
     p_rec.set_defaults(func=cmd_synth_recovery)
 
     p_link = synth_sub.add_parser("link", help="signed link prediction")
@@ -399,7 +373,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_link.add_argument("--out-dir", dest="out_dir", required=True)
     p_link.add_argument("--run", action="store_true", help="also train and report test AUC")
     _add_solver_flags(p_link, lam_required=False)
-    _add_common_flags(p_link)
     p_link.set_defaults(func=cmd_synth_link)
 
     return parser

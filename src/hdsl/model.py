@@ -9,6 +9,7 @@ similarity x^T M x' be evaluated from the few active feature pairs alone.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 from typing import Dict, NamedTuple, Union
 
@@ -52,8 +53,8 @@ class Model:
     """Convex combination {basis -> weight} with a global scale lambda."""
 
     def __init__(self, lam: float, dim: int, atoms: Dict[BasisId, float]):
-        if lam <= 0:
-            raise ValueError("lambda must be positive")
+        if not (0 < lam < math.inf):
+            raise ValueError(f"lambda must be positive and finite, got {lam}")
         if not atoms:
             raise ValueError("model needs at least one atom")
         self.lam = float(lam)
@@ -66,7 +67,7 @@ class Model:
         for b, a in self.atoms.items():
             if not (0 <= b.i < b.j < self.dim):
                 raise ValueError(f"basis {b} out of range for dim={self.dim}")
-            if a <= 0:
+            if not a > 0:
                 raise ValueError(f"atom weight must be positive, got {a} for {b}")
             total += a
         if abs(total - 1.0) > WEIGHT_SUM_TOL:

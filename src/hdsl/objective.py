@@ -134,12 +134,6 @@ class ConstraintSet:
         keep = vals != 0.0
         return rows[keep], vals[keep]
 
-    def pair_inners_dense(self, i: int, j: int, sign: int, lam: float) -> np.ndarray:
-        rows, vals = self.pair_inners(i, j, sign, lam)
-        out = np.zeros(len(self))
-        out[rows] = vals
-        return out
-
     def lipschitz_constant(self) -> float:
         """(1/T) * sum_t ||x_t||^2 * ||d_t||^2 (squared Frobenius norms of x d^T)."""
         if len(self) == 0:

@@ -45,10 +45,12 @@ class SolverConfig:
     val_fn: Optional[Callable[[Model], float]] = None  # higher is better
     eval_every: int = 50
     patience: int = 10
-    deterministic: bool = False
     recompute_every: int = 1000
 
     def __post_init__(self):
+        for name in ("lam", "ls_tol", "gap_tol"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
         if self.lam <= 0:
             raise ValueError("lambda must be positive")
         if self.oracle not in ("exact", "minibatch", "heuristic"):

@@ -7,6 +7,7 @@ lookups cheap regardless of the ambient dimension.
 from __future__ import annotations
 
 import io
+import math
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -172,7 +173,7 @@ def parse_libsvm(source: Union[str, io.TextIOBase], dim: Optional[int] = None) -
             label_f = float(parts[0])
         except ValueError:
             raise ParseError(f"invalid label {parts[0]!r}", lineno) from None
-        if label_f != int(label_f):
+        if not math.isfinite(label_f) or label_f != int(label_f):
             raise ParseError(f"non-integer label {parts[0]!r}", lineno)
         idxs = []
         vals = []
@@ -186,6 +187,8 @@ def parse_libsvm(source: Union[str, io.TextIOBase], dim: Optional[int] = None) -
                 val = float(val_s)
             except ValueError:
                 raise ParseError(f"invalid feature token {tok!r}", lineno) from None
+            if not math.isfinite(val):
+                raise ParseError(f"non-finite feature value {tok!r}", lineno)
             if idx < 1:
                 raise ParseError(f"feature index {idx} must be >= 1", lineno)
             if idx <= prev:

@@ -47,6 +47,12 @@ class TestTrain:
                     "--out", tmp_path / "m.hdsl"])
         assert code == 3
 
+    def test_non_finite_data_exits_3(self, tmp_path, capsys):
+        data = tmp_path / "nan.svm"
+        data.write_text("0 1:1.0\n1 1:nan 2:inf\n")
+        code = run(["train", "--data", data, "--lambda", 1, "--out", tmp_path / "m.hdsl"])
+        assert code == 3
+
     def test_bad_flags_exit_2(self, labeled_file, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["train", "--data", labeled_file, "--out", tmp_path / "m.hdsl"])

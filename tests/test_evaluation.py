@@ -8,7 +8,7 @@ from hdsl.evaluation import (
     knn_error,
     link_auc,
 )
-from hdsl.model import NEG, POS, BasisId, Model
+from hdsl.model import NEG, POS, BasisId, Model, similarity
 from hdsl.sparse_data import Dataset, SparseVector
 from hdsl.synthetic import gen_links, gen_truth, gen_uniform_sparse
 
@@ -20,6 +20,20 @@ def sv(pairs, dim):
         return SparseVector(np.zeros(0, dtype=np.int64), np.zeros(0), dim)
     idx, val = zip(*pairs)
     return SparseVector(np.array(idx), np.array(val), dim)
+
+
+def mixed_sign_model(rng, dim, n_atoms, lam, n_features=None):
+    """Random model on distinct pairs of the first `n_features` features
+    (default: all) whose atoms alternate NEG and POS."""
+    pairs = set()
+    while len(pairs) < n_atoms:
+        pairs.add(tuple(sorted(rng.choice(n_features or dim, size=2, replace=False).tolist())))
+    w = rng.uniform(0.1, 1.0, size=n_atoms)
+    atoms = {
+        BasisId(i, j, NEG if k % 2 == 0 else POS): a
+        for k, ((i, j), a) in enumerate(zip(sorted(pairs), w / w.sum()))
+    }
+    return Model(lam, dim, atoms)
 
 
 class TestAuc:
@@ -115,28 +129,37 @@ class TestKnnError:
                 self.block_model(1.0), ds, ds, k=3
             )
 
-    def test_matches_brute_force_vote(self):
-        rng = np.random.default_rng(4)
+    def random_labeled(self, rng):
         pts = []
         labels = rng.integers(0, 3, size=15)
         for _ in range(15):
             nnz = int(rng.integers(1, 5))
             idx = np.sort(rng.choice(8, size=nnz, replace=False))
             pts.append(SparseVector(idx, rng.uniform(0.2, 1, size=nnz), 8))
-        ds = Dataset(pts, labels=labels, dim=8)
-        m = random_model(rng, 8, 4, lam=2.0)
-        got = knn_error(m, ds, ds, k=3)
+        return Dataset(pts, labels=labels, dim=8)
 
-        from hdsl.model import similarity
-
+    def brute_force_error(self, m, ds, k=3):
         errors = 0
         for t in range(len(ds)):
             sims = np.array([similarity(m, ds[t], ds[r]) for r in range(len(ds))])
-            order = np.lexsort((np.arange(len(ds)), -sims))[:3]
-            votes, counts = np.unique(labels[order], return_counts=True)
-            if votes[np.argmax(counts)] != labels[t]:
+            order = np.lexsort((np.arange(len(ds)), -sims))[:k]
+            votes, counts = np.unique(ds.labels[order], return_counts=True)
+            if votes[np.argmax(counts)] != ds.labels[t]:
                 errors += 1
-        assert got == pytest.approx(errors / len(ds))
+        return errors / len(ds)
+
+    def test_matches_brute_force_vote(self):
+        rng = np.random.default_rng(4)
+        ds = self.random_labeled(rng)
+        m = random_model(rng, 8, 4, lam=2.0)
+        assert knn_error(m, ds, ds, k=3) == pytest.approx(self.brute_force_error(m, ds))
+
+    def test_matches_brute_force_vote_with_neg_atoms(self):
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            ds = self.random_labeled(rng)
+            m = mixed_sign_model(rng, 8, 5, lam=2.0)
+            assert knn_error(m, ds, ds, k=3) == pytest.approx(self.brute_force_error(m, ds))
 
 
 class TestFeatureRecoveryAuc:
@@ -223,3 +246,33 @@ class TestLinkAuc:
         m = Model(1.0, 8, {BasisId(0, 1, POS): 1.0})
         with pytest.raises(ValueError):
             link_auc(m, samples, [(0, 1, 1), (2, 3, 1)])
+
+    def test_endpoint_out_of_range_rejected(self):
+        rng = np.random.default_rng(12)
+        samples = gen_uniform_sparse(10, 8, sparsity=0.5, rng=rng)
+        m = Model(1.0, 8, {BasisId(0, 1, POS): 1.0})
+        for bad in ([(-1, 1, 1), (2, 3, -1)], [(0, 1, 1), (2, 10, -1)]):
+            with pytest.raises(ValueError, match="out of range"):
+                link_auc(m, samples, bad)
+
+    def test_matches_per_pair_similarity(self):
+        rng = np.random.default_rng(13)
+        dim = 12
+        # the model lives on features 0..7; points 0..9 carry only features
+        # 8..11, so every link touching one of them scores exactly 0 (ties)
+        pts = [sv([(f, float(rng.uniform(0.2, 1)))], dim) for f in rng.integers(8, 12, size=10)]
+        for _ in range(30):
+            idx = np.sort(rng.choice(dim, size=int(rng.integers(1, 5)), replace=False))
+            pts.append(SparseVector(idx, rng.uniform(-1, 1, size=idx.size), dim))
+        samples = Dataset(pts, dim=dim)
+        m = mixed_sign_model(rng, dim, 6, lam=3.0, n_features=8)
+        # distinct unordered pairs: x^T M y and y^T M x may round apart in
+        # the reference, which would split a tie the projection keeps
+        pairs = [(a, b) for a in range(len(pts)) for b in range(a + 1, len(pts))]
+        picks = rng.choice(len(pairs), size=200, replace=False)
+        links = [(*pairs[p], int(y)) for p, y in zip(picks, rng.choice([-1, 1], size=200))]
+        scores = np.array([similarity(m, samples[a], samples[b]) for a, b, _ in links])
+        positive = np.array([y == 1 for _, _, y in links])
+        assert np.sum((scores == 0) & positive) > 1 and np.sum((scores == 0) & ~positive) > 1
+        expected = auc(list(enumerate(scores)), set(np.flatnonzero(positive).tolist()))
+        assert link_auc(m, samples, links) == pytest.approx(expected, abs=1e-12)

@@ -258,6 +258,16 @@ class TestSerialization:
         with pytest.raises(ValueError):
             deserialize("hdsl-model 2\nlambda 1 dim 4\nP 0 1 1\n")
 
+    @pytest.mark.parametrize("text", [
+        "hdsl-model 1\nlambda nan dim 4\nP 0 1 1\n",
+        "hdsl-model 1\nlambda inf dim 4\nP 0 1 1\n",
+        "hdsl-model 1\nlambda 1 dim 4\nP 0 1 nan\n",
+        "hdsl-model 1\nlambda 1 dim 4\nP 0 1 0.5\nN 1 2 nan\n",
+    ])
+    def test_non_finite_values_rejected(self, text):
+        with pytest.raises(ValueError):
+            deserialize(text)
+
     def test_duplicate_atom_rejected(self):
         with pytest.raises(ValueError):
             deserialize("hdsl-model 1\nlambda 1 dim 4\nP 0 1 0.5\nP 0 1 0.5\n")

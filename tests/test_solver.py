@@ -517,10 +517,16 @@ class TestTrain:
         rng = np.random.default_rng(82)
         cs = random_instance(rng, 15, T=40)
         cfg = dict(lam=3.0, max_iters=60, oracle="minibatch", batch_size=10, seed=5)
-        m1, h1 = train(cs, SolverConfig(**cfg, deterministic=True))
-        m2, h2 = train(cs, SolverConfig(**cfg, deterministic=True))
+        m1, h1 = train(cs, SolverConfig(**cfg))
+        m2, h2 = train(cs, SolverConfig(**cfg))
         assert h1 == h2
         assert m1.atoms == m2.atoms
+
+    @pytest.mark.parametrize("field", ["lam", "ls_tol", "gap_tol"])
+    def test_non_finite_config_rejected(self, field):
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=field):
+                SolverConfig(**{"lam": 1.0, field: bad})
 
     def test_empty_constraints_rejected(self):
         ds = Dataset([sv([(0, 1.0)], 4), sv([(1, 1.0)], 4)])

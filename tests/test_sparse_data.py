@@ -113,6 +113,13 @@ class TestParseLibsvm:
             parse_libsvm("2 1:1 1:2\n")
         assert exc.value.line == 1
 
+    @pytest.mark.parametrize("line", ["1 1:nan\n", "1 1:1 2:inf\n", "1 2:-inf\n",
+                                      "nan 1:1\n", "inf 1:1\n"])
+    def test_non_finite_values_rejected(self, line):
+        with pytest.raises(ParseError) as exc:
+            parse_libsvm("1 1:0.5\n" + line)
+        assert exc.value.line == 2
+
     def test_malformed_line_reports_number(self):
         with pytest.raises(ParseError) as exc:
             parse_libsvm("1 2:0.5\n1 nonsense\n")
