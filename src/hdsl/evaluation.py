@@ -44,24 +44,30 @@ def knn_error(model: Model, train: Dataset, test: Dataset, k: int = 3) -> float:
         raise ValueError("labeled datasets required")
     if len(train) == 0 or len(test) == 0:
         raise ValueError("empty dataset")
+    if k < 1:
+        raise ValueError("k must be at least 1")
     if k > len(train):
         raise ValueError("k exceeds the number of training points")
     proj = factorize(model)
     p_train_t = project_dataset(proj, train.to_csr()).T
     p_test = project_dataset(proj, test.to_csr())
-    labels = train.labels
+    classes, label_idx = np.unique(train.labels, return_inverse=True)
     n_train = len(train)
+    n_classes = classes.size
     errors = 0
     chunk = max(1, int(2e6 // max(n_train, 1)))
     for start in range(0, len(test), chunk):
         stop = min(start + chunk, len(test))
         sims = p_test[start:stop] @ p_train_t
-        for r in range(stop - start):
-            order = np.lexsort((np.arange(n_train), -sims[r]))[:k]
-            votes, counts = np.unique(labels[order], return_counts=True)
-            pred = votes[np.argmax(counts)]
-            if pred != test.labels[start + r]:
-                errors += 1
+        tiebreak = np.broadcast_to(np.arange(n_train), sims.shape)
+        top = np.lexsort((tiebreak, -sims), axis=-1)[:, :k]
+        # vote counts per (row, class); argmax's first hit is the smallest label
+        row_base = np.arange(stop - start)[:, None] * n_classes
+        votes = np.bincount(
+            (row_base + label_idx[top]).ravel(), minlength=(stop - start) * n_classes
+        ).reshape(-1, n_classes)
+        pred = classes[np.argmax(votes, axis=1)]
+        errors += int(np.count_nonzero(pred != test.labels[start:stop]))
     return errors / len(test)
 
 

@@ -9,7 +9,7 @@ for a fixed input order.
 
 from __future__ import annotations
 
-from typing import Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -40,9 +40,10 @@ def smoothed_hinge_deriv(m):
 class ConstraintSet:
     """Triplet constraints over a dataset, with precomputed sparse views.
 
-    Builds once: anchor rows X (T x d), difference rows D = X_b - X_c, their
-    CSC transposes for feature-column access, and the elementwise product
-    X.multiply(D) whose column sums give the diagonal gradient accumulator.
+    Builds once: anchor rows X (T x d), difference rows D = X_b - X_c,
+    their CSC transposes for feature-column access, and the elementwise
+    product X.multiply(D), whose column sums give the heuristic oracle's
+    diagonal statistic. The exact statistic uses pair_statistic instead.
     """
 
     DENSE_DIM_LIMIT = 512
@@ -74,25 +75,59 @@ class ConstraintSet:
         self.XD: sp.csr_matrix = X.multiply(D).tocsr()
         self.XD.eliminate_zeros()
         self._work = np.zeros(len(self))
-        self._dense = None
+        self._points = None
+        self._full_pattern = None
 
-    def dense_views(self):
-        """(X, D, X*D) as dense arrays for small problems, else None.
+    def _point_view(self):
+        """(local triplets, P, P^T) over the points some triplet references.
 
-        Gradient accumulation over a T x d problem is a plain BLAS product
-        when d is small, which beats sparse bookkeeping by a wide margin.
+        P is dense when d and n_used*d are small, where a BLAS product beats
+        sparse bookkeeping by a wide margin, and CSR otherwise; P^T is kept
+        as CSR too, since a CSC left operand makes scipy convert S P.
         """
-        if (
-            self.dim > self.DENSE_DIM_LIMIT
-            or len(self) == 0
-            or len(self) * self.dim > self.DENSE_CELL_LIMIT
-        ):
-            return None
-        if self._dense is None:
-            xd = self.X.toarray()
-            dd = self.D.toarray()
-            self._dense = (xd, dd, xd * dd)
-        return self._dense
+        if self._points is None:
+            used, local = np.unique(self.triplets.ravel(), return_inverse=True)
+            P = self.dataset.to_csr()[used]
+            if self.dim <= self.DENSE_DIM_LIMIT and used.size * self.dim <= self.DENSE_CELL_LIMIT:
+                P = P.toarray()
+                PT = P.T
+            else:
+                PT = P.T.tocsr()
+            self._points = (local.reshape(-1, 3), P, PT)
+        return self._points
+
+    def pair_statistic(self, g: np.ndarray, subset: Optional[np.ndarray] = None):
+        """sum_t g_t (x_t d_t^T + d_t x_t^T) over all constraints or a subset.
+
+        When the triplets reuse points (n_used < T), this is P^T S P with P
+        the n_used referenced points and S = W + W^T, where W[a,b] += g_t
+        and W[a,c] -= g_t: O(T) to fill S, O(nnz(S) s) for S P and
+        O(n_used s^2) (sparse) or O(n_used d^2) (dense) for the rest. The
+        full set builds S's CSR pattern on its first call and refills it
+        after that; a subset builds S and P over its own points, so its
+        cost follows the subset. Without reuse the T outer products are
+        cheaper, and the active (g_t != 0) ones are summed directly.
+        """
+        local, P, PT = self._point_view()
+        n_ref = P.shape[0]
+        if subset is not None:
+            local, g = local[subset], g[subset]
+            pts, inv = np.unique(local, return_inverse=True)
+            n_ref = pts.size
+        if n_ref >= len(local):
+            active = g != 0.0
+            a, b, c = local[active].T
+            C = (sp.diags(g[active]) @ P[a]).T @ (P[b] - P[c])
+            return C + C.T
+        if subset is None:
+            if self._full_pattern is None:
+                self._full_pattern = _pair_pattern(local, n_ref)
+            S, slot = self._full_pattern
+        else:
+            local, P, PT = inv.reshape(-1, 3), P[pts], PT[:, pts]
+            S, slot = _pair_pattern(local, n_ref)
+        S.data = np.bincount(slot, weights=_pair_weights(g), minlength=S.nnz)
+        return PT @ (S @ P)
 
     def __len__(self) -> int:
         return self.triplets.shape[0]
@@ -141,6 +176,21 @@ class ConstraintSet:
         xn = np.asarray(self.X.multiply(self.X).sum(axis=1)).ravel()
         dn = np.asarray(self.D.multiply(self.D).sum(axis=1)).ravel()
         return float(np.mean(xn * dn))
+
+
+def _pair_pattern(tri: np.ndarray, n: int):
+    """CSR pattern of S = W + W^T for triplets (a, b, c) over n points, and
+    the slot in it of each ab, ba, ac, ca entry, in _pair_weights order."""
+    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
+    rows, cols = np.concatenate((a, b, a, c)), np.concatenate((b, a, c, a))
+    keys, slot = np.unique(rows * n + cols, return_inverse=True)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // n, minlength=n))))
+    return sp.csr_matrix((np.zeros(keys.size), keys % n, indptr), shape=(n, n)), slot
+
+
+def _pair_weights(g: np.ndarray) -> np.ndarray:
+    """+g_t for the ab and ba entries of S, -g_t for ac and ca."""
+    return np.concatenate((g, g, -g, -g))
 
 
 class MarginCache:

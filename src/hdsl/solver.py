@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .model import NEG, POS, BasisId, Model, basis_sort_key
+from .model import NEG, POS, BasisId, Model
 from .objective import (
     ConstraintSet,
     MarginCache,
@@ -29,6 +29,10 @@ from .objective import (
 )
 
 ATOM_DROP_TOL = 1e-12
+# largest tolerated |incremental - fresh| margin at a recompute, relative to
+# max(1, max |m|); float drift over a thousand steps is around 1e-13, so
+# more means the step bookkeeping is wrong
+MARGIN_DRIFT_TOL = 1e-8
 
 
 @dataclass
@@ -80,16 +84,16 @@ class Direction:
 class GradientAccumulators:
     """Sufficient statistics of the gradient for basis scoring.
 
-    diag[i] = (1/|set|) * sum_t g_t x_ti d_ti. cross is the d x d matrix
-    (1/|set|) * sum_t g_t x_t d_t^T (dense array for small dimensions,
-    scipy sparse otherwise) whose symmetrization gives the off-diagonal
-    pair terms H_ij. Basis scores follow as
-    <P/N_(ij), grad f> = lam * (diag[i] + diag[j] +/- H_ij).
+    H is the symmetric d x d pair matrix (1/|set|) * sum_t g_t (x_t d_t^T +
+    d_t x_t^T) (dense array for small problems, scipy sparse otherwise);
+    diag[i] = H_ii / 2 = (1/|set|) * sum_t g_t x_ti d_ti. Basis scores
+    follow as <P/N_(ij), grad f> = lam * (diag[i] + diag[j] +/- H_ij),
+    read from the upper triangle (i < j).
     """
 
-    def __init__(self, diag: np.ndarray, cross: sp.spmatrix, count: int):
-        self.diag = diag
-        self.cross = cross
+    def __init__(self, H, count: int):
+        self.H = H
+        self.diag = 0.5 * H.diagonal()
         self.count = count
 
     def diag_map(self) -> Dict[int, float]:
@@ -97,24 +101,12 @@ class GradientAccumulators:
         return {int(i): float(self.diag[i]) for i in idx}
 
     def offdiag_map(self) -> Dict[Tuple[int, int], float]:
-        out: Dict[Tuple[int, int], float] = {}
-        if isinstance(self.cross, np.ndarray):
-            sym = self.cross + self.cross.T
-            rows, cols = np.nonzero(np.triu(sym, k=1))
-            for r, c in zip(rows, cols):
-                out[(int(r), int(c))] = float(sym[r, c])
-            return out
-        sym = (self.cross + self.cross.T).tocoo()
-        for r, c, v in zip(sym.row, sym.col, sym.data):
-            if r < c and v != 0.0:
-                out[(int(r), int(c))] = float(v)
-        return out
-
-
-def _row_scaled(mat: sp.csr_matrix, weights: np.ndarray) -> sp.csr_matrix:
-    out = mat.copy()
-    out.data *= np.repeat(weights, np.diff(out.indptr))
-    return out
+        h = sp.coo_matrix(self.H)
+        return {
+            (int(r), int(c)): float(v)
+            for r, c, v in zip(h.row, h.col, h.data)
+            if r < c and v != 0.0
+        }
 
 
 def gradient_accumulate(
@@ -122,43 +114,13 @@ def gradient_accumulate(
 ) -> GradientAccumulators:
     """Accumulate gradient statistics over a constraint subset (default: all).
 
-    Satisfied constraints (zero loss derivative) are skipped; the averages
+    Satisfied constraints (zero loss derivative) add nothing; the averages
     are still taken over the full subset size.
     """
-    g = cache.derivs()
-    views = cs.dense_views()
-    if views is not None:
-        xd, dd, xdd = views
-        if subset is None:
-            count = len(cs)
-            w = g
-        else:
-            count = subset.size
-            if count == 0:
-                raise ValueError("empty constraint subset")
-            xd, dd, xdd = xd[subset], dd[subset], xdd[subset]
-            w = g[subset]
-        diag = (w @ xdd) / count
-        cross = ((xd * w[:, None]).T @ dd) / count
-        return GradientAccumulators(diag, cross, count)
-
-    if subset is None:
-        subset = np.arange(len(cs))
-    count = subset.size
+    count = len(cs) if subset is None else subset.size
     if count == 0:
         raise ValueError("empty constraint subset")
-    active = subset[g[subset] != 0.0]
-
-    diag = np.zeros(cs.dim)
-    if active.size:
-        xd = cs.XD[active]
-        w = np.repeat(g[active], np.diff(xd.indptr))
-        diag = np.bincount(xd.indices, weights=xd.data * w, minlength=cs.dim) / count
-        xg = _row_scaled(cs.X[active].tocsr(), g[active])
-        cross = (xg.T @ cs.D[active]).tocsr() / count
-    else:
-        cross = sp.csr_matrix((cs.dim, cs.dim))
-    return GradientAccumulators(diag, cross, count)
+    return GradientAccumulators(cs.pair_statistic(cache.derivs(), subset) / count, count)
 
 
 def _lex_min_candidate(scores, ii, jj, signs):
@@ -170,25 +132,6 @@ def _lex_min_candidate(scores, ii, jj, signs):
     sign_rank = np.where(np.asarray(signs)[ties] == POS, 0, 1)
     order = np.lexsort((sign_rank, np.asarray(jj)[ties], np.asarray(ii)[ties]))
     return int(ties[order[0]])
-
-
-_TRIU_CACHE: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-
-
-def _triu_indices(dim: int) -> Tuple[np.ndarray, np.ndarray]:
-    if dim not in _TRIU_CACHE:
-        _TRIU_CACHE.clear()  # keep at most one dimension resident
-        _TRIU_CACHE[dim] = np.triu_indices(dim, k=1)
-    return _TRIU_CACHE[dim]
-
-
-def _two_smallest(diag: np.ndarray) -> Tuple[int, int]:
-    """Indices of the two smallest values; first occurrence wins on ties."""
-    i1 = int(np.argmin(diag))
-    masked = diag.copy()
-    masked[i1] = np.inf
-    j1 = int(np.argmin(masked))
-    return (i1, j1) if i1 < j1 else (j1, i1)
 
 
 def forward_exact(
@@ -210,38 +153,33 @@ def forward_exact(
         raise ValueError("need at least two features")
     c = acc.diag
 
-    if isinstance(acc.cross, np.ndarray):
-        # small-dimension path: score every pair directly; row-major upper
-        # triangle order makes argmin's first hit the lex-smallest pair
-        sym = acc.cross + acc.cross.T
-        iu, ju = _triu_indices(dim)
-        h = sym[iu, ju]
-        scores = lam * (c[iu] + c[ju] - np.abs(h))
-        k = int(np.argmin(scores))
-        basis = BasisId(int(iu[k]), int(ju[k]), NEG if h[k] > 0 else POS)
-        direction = Direction(kind="F", basis=basis, gamma_max=1.0, score=float(scores[k]))
-        if cs is not None:
-            rows, vals = cs.pair_inners(basis.i, basis.j, basis.sign, lam)
-            direction.inner_rows, direction.inner_vals = rows, vals
-        return direction
+    if isinstance(acc.H, np.ndarray):
+        # small-dimension path: score every pair directly; with i >= j masked
+        # out, the row-major argmin's first hit is the lex-smallest pair
+        H = acc.H
+        scores = lam * (c[:, None] + c[None, :] - np.abs(H))
+        idx = np.arange(dim)
+        scores[idx[:, None] >= idx] = np.inf
+        i, j = divmod(int(np.argmin(scores)), dim)
+        basis = BasisId(i, j, NEG if H[i, j] > 0 else POS)
+        score = scores[i, j]
+    else:
+        h = acc.H.tocoo()
+        mask = (h.row < h.col) & (h.data != 0.0)
+        iu = h.row[mask]
+        ju = h.col[mask]
+        hu = h.data[mask]
 
-    sym = (acc.cross + acc.cross.T).tocoo()
-    mask = (sym.row < sym.col) & (sym.data != 0.0)
-    iu = sym.row[mask]
-    ju = sym.col[mask]
-    hu = sym.data[mask]
+        bi, bj = sorted(np.argsort(c, kind="stable")[:2])  # ties: first occurrences
+        cand_i = np.append(iu, bi)
+        cand_j = np.append(ju, bj)
+        cand_score = np.append(lam * (c[iu] + c[ju] - np.abs(hu)), lam * (c[bi] + c[bj]))
+        cand_sign = np.append(np.where(hu > 0, NEG, POS), POS)
 
-    bi, bj = _two_smallest(c)
-    cand_i = np.append(iu, bi)
-    cand_j = np.append(ju, bj)
-    cand_score = np.append(lam * (c[iu] + c[ju] - np.abs(hu)), lam * (c[bi] + c[bj]))
-    cand_sign = np.append(np.where(hu > 0, NEG, POS), POS)
-
-    k = _lex_min_candidate(cand_score, cand_i, cand_j, cand_sign)
-    basis = BasisId(int(cand_i[k]), int(cand_j[k]), int(cand_sign[k]))
-    direction = Direction(
-        kind="F", basis=basis, gamma_max=1.0, score=float(cand_score[k])
-    )
+        k = _lex_min_candidate(cand_score, cand_i, cand_j, cand_sign)
+        basis = BasisId(int(cand_i[k]), int(cand_j[k]), int(cand_sign[k]))
+        score = cand_score[k]
+    direction = Direction(kind="F", basis=basis, gamma_max=1.0, score=float(score))
     if cs is not None:
         rows, vals = cs.pair_inners(basis.i, basis.j, basis.sign, lam)
         direction.inner_rows, direction.inner_vals = rows, vals
@@ -358,33 +296,31 @@ def away_direction(
 
     gamma_max is alpha/(1-alpha); a single-atom model cannot take an away
     step, so its gamma_max is 0. Pass full-set accumulators (exact oracle)
-    to score atoms by table lookup instead of per-atom inner products.
+    on the dense path to score all atoms with one lookup into H instead of
+    per-atom inner products.
     """
     if model.n_atoms < 1:
         raise ValueError("model has no atoms")
-    g = cache.derivs()
-    T = cache.count
-    best_basis = None
-    best_score = -np.inf
-    sym = None
-    if acc is not None and isinstance(acc.cross, np.ndarray):
-        sym = acc.cross + acc.cross.T
-    for b in sorted(model.atoms, key=basis_sort_key):
-        if sym is not None:
-            score = model.lam * (acc.diag[b.i] + acc.diag[b.j] + b.sign * sym[b.i, b.j])
-        else:
-            if inners is not None and b in inners:
-                rows, vals = inners[b]
-            else:
-                rows, vals = cs.pair_inners(b.i, b.j, b.sign, model.lam)
-            score = float(g[rows] @ vals) / T if rows.size else 0.0
-        if score > best_score:
-            best_score = score
-            best_basis = b
-    if inners is not None and best_basis in inners:
-        rows, vals = inners[best_basis]
+    def inner(b):
+        if inners is not None and b in inners:
+            return inners[b]
+        return cs.pair_inners(b.i, b.j, b.sign, model.lam)
+
+    bases = list(model.atoms)
+    ii = np.array([b.i for b in bases])
+    jj = np.array([b.j for b in bases])
+    signs = np.array([b.sign for b in bases])
+    if acc is not None and isinstance(acc.H, np.ndarray):
+        scores = model.lam * (acc.diag[ii] + acc.diag[jj] + signs * acc.H[ii, jj])
     else:
-        rows, vals = cs.pair_inners(best_basis.i, best_basis.j, best_basis.sign, model.lam)
+        g = cache.derivs()
+        scores = np.array(
+            [float(g[r] @ v) / cache.count if r.size else 0.0 for r, v in map(inner, bases)]
+        )
+    # argmax with ties to the smallest (i, j, Pos<Neg)
+    k = _lex_min_candidate(-scores, ii, jj, signs)
+    best_basis, best_score = bases[k], scores[k]
+    rows, vals = inner(best_basis)
     alpha = model.atoms[best_basis]
     gamma_max = 0.0 if model.n_atoms == 1 else alpha / (1.0 - alpha)
     return Direction(
@@ -598,8 +534,13 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
 
     for k in range(cfg.max_iters):
         state.iteration = k
+        drift = None
         if k > 0 and cfg.recompute_every > 0 and k % cfg.recompute_every == 0:
-            state.cache.margins = init_cache(cs, state.model).margins
+            fresh = init_cache(cs, state.model).margins
+            drift = float(np.max(np.abs(state.cache.margins - fresh)))
+            if drift > MARGIN_DRIFT_TOL * max(1.0, float(np.max(np.abs(fresh)))):
+                raise RuntimeError(f"margin cache drifted by {drift:.3e} at iteration {k}")
+            state.cache.margins = fresh
 
         fwd, acc = _forward_direction(cs, state.cache, cfg, rng)
         gap = fw_gap(state, fwd)
@@ -611,6 +552,8 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
             "atoms": state.model.n_atoms,
             "features": state.n_features,
         }
+        if drift is not None:
+            record["drift"] = drift
         # the gap certifies optimality only when the forward basis is the
         # global argmin; sampled oracles give a noisy underestimate
         gap_converged = cfg.oracle == "exact" and gap <= cfg.gap_tol

@@ -8,7 +8,7 @@ from hdsl.evaluation import (
     knn_error,
     link_auc,
 )
-from hdsl.model import NEG, POS, BasisId, Model, similarity
+from hdsl.model import NEG, POS, BasisId, Model, factorize, project_dataset, similarity
 from hdsl.sparse_data import Dataset, SparseVector
 from hdsl.synthetic import gen_links, gen_truth, gen_uniform_sparse
 
@@ -115,6 +115,12 @@ class TestKnnError:
         with pytest.raises(ValueError):
             knn_error(self.block_model(), ds, ds, k=7)
 
+    @pytest.mark.parametrize("k", [0, -1])
+    def test_k_below_one_rejected(self, k):
+        ds = self.separated_dataset()
+        with pytest.raises(ValueError, match="at least 1"):
+            knn_error(self.block_model(), ds, ds, k=k)
+
     def test_unlabeled_rejected(self):
         ds = self.separated_dataset()
         bare = Dataset(ds.points, labels=None, dim=4)
@@ -153,6 +159,41 @@ class TestKnnError:
         ds = self.random_labeled(rng)
         m = random_model(rng, 8, 4, lam=2.0)
         assert knn_error(m, ds, ds, k=3) == pytest.approx(self.brute_force_error(m, ds))
+
+    def row_loop_error(self, m, train, test, k):
+        """Reference: one lexsort and one np.unique vote per test row."""
+        proj = factorize(m)
+        sims = project_dataset(proj, test.to_csr()) @ project_dataset(proj, train.to_csr()).T
+        errors = 0
+        for r in range(len(test)):
+            order = np.lexsort((np.arange(len(train)), -sims[r]))[:k]
+            votes, counts = np.unique(train.labels[order], return_counts=True)
+            errors += int(votes[np.argmax(counts)] != test.labels[r])
+        return errors / len(test)
+
+    def test_blockwise_vote_matches_row_loop_on_ties(self):
+        rng = np.random.default_rng(7)
+        # the model reads features 0-3 only: points on features 4-7 project
+        # to zero, so their similarities are exact-zero ties
+        m = Model(1.0, 8, {BasisId(0, 1, POS): 0.4, BasisId(2, 3, NEG): 0.6})
+
+        def points(n):
+            pts = []
+            for _ in range(n):
+                pool = np.arange(4) if rng.random() < 0.4 else np.arange(4, 8)
+                idx = np.sort(rng.choice(pool, size=int(rng.integers(1, 4)), replace=False))
+                pts.append(SparseVector(idx, rng.choice([0.5, 1.0], size=idx.size), 8))
+            return pts
+
+        # the first three train labels differ: a zero-projection test point
+        # takes them as its 3 neighbors, a 1-1-1 vote the smallest label wins
+        train = Dataset(points(40), labels=[2, 1, 0] + list(rng.integers(0, 3, size=37)), dim=8)
+        test = Dataset(points(30), labels=rng.integers(0, 3, size=30), dim=8)
+        assert np.any(project_dataset(factorize(m), test.to_csr()).any(axis=1) == 0)
+        for k in (1, 2, 3, 5):
+            assert knn_error(m, train, test, k=k) == self.row_loop_error(m, train, test, k)
+        zero_test = Dataset([SparseVector(np.array([5]), np.array([1.0]), 8)], labels=[0], dim=8)
+        assert knn_error(m, train, zero_test, k=3) == 0.0
 
     def test_matches_brute_force_vote_with_neg_atoms(self):
         rng = np.random.default_rng(5)

@@ -31,6 +31,8 @@ from util import (
     dense_gradient,
     random_instance,
     random_model,
+    random_sparse_dataset,
+    random_triplets,
 )
 
 
@@ -42,16 +44,17 @@ def sv(pairs, dim):
 
 
 def acc_from_maps(diag_map, offdiag_map, dim):
-    diag = np.zeros(dim)
-    for i, v in diag_map.items():
-        diag[i] = v
     rows, cols, vals = [], [], []
-    for (i, j), v in offdiag_map.items():
+    for i, v in diag_map.items():
         rows.append(i)
-        cols.append(j)
-        vals.append(v)  # symmetrization doubles nothing: cross[i,j] holds full H_ij
-    cross = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
-    return GradientAccumulators(diag, cross, count=1)
+        cols.append(i)
+        vals.append(2.0 * v)  # H_ii = 2 diag[i]
+    for (i, j), v in offdiag_map.items():
+        rows += [i, j]
+        cols += [j, i]
+        vals += [v, v]
+    H = sp.csr_matrix((vals, (rows, cols)), shape=(dim, dim))
+    return GradientAccumulators(H, count=1)
 
 
 class TestGradientAccumulate:
@@ -79,7 +82,7 @@ class TestGradientAccumulate:
             cache = init_cache(cs, m)
             grad = dense_gradient(cs, cache.margins)
             acc = gradient_accumulate(cs, cache)
-            sym = acc.cross + acc.cross.T
+            sym = acc.H
             if not isinstance(sym, np.ndarray):
                 sym = sym.toarray()
             for i in range(dim):
@@ -88,6 +91,62 @@ class TestGradientAccumulate:
                         b = BasisId(i, j, sign)
                         got = m.lam * (acc.diag[i] + acc.diag[j] + sign * sym[i, j])
                         assert got == pytest.approx(basis_score(grad, b, m.lam), abs=1e-10)
+
+
+class TestPairStatistic:
+    """gradient_accumulate's H against explicit dense sums, on both kernels:
+    P^T S P when the triplets reuse points, T outer products when not."""
+
+    def edge_instance(self, rng, dim):
+        ds = random_sparse_dataset(rng, 12, dim, max_nnz=max(2, dim // 3))
+        trips = random_triplets(rng, 8, 30)  # points 8-11 are never referenced
+        edges = np.array([[0, 0, 1], [2, 3, 2], [4, 5, 6], [4, 5, 6], [4, 5, 6]])
+        return ConstraintSet(ds, np.vstack([trips, edges]))  # a == b, a == c, repeats
+
+    def disjoint_instance(self, rng, dim):
+        ds = random_sparse_dataset(rng, 120, dim, max_nnz=max(2, dim // 3))
+        return ConstraintSet(ds, rng.permutation(120)[:105].reshape(-1, 3))  # no reuse
+
+    @pytest.mark.parametrize("reuse", [True, False])
+    @pytest.mark.parametrize("limit", [None, "DENSE_DIM_LIMIT", "DENSE_CELL_LIMIT"])
+    def test_matches_dense_gradient(self, limit, reuse):
+        rng = np.random.default_rng(14)
+        for _ in range(5):
+            dim = int(rng.integers(4, 20))
+            cs = self.edge_instance(rng, dim) if reuse else self.disjoint_instance(rng, dim)
+            if limit is not None:
+                setattr(cs, limit, 0)  # push this instance to the sparse side
+            T = len(cs)
+            # edge instance: all but the last 5 (7 points) reuse points and
+            # take P^T S P; the disjoint instance always takes outer products
+            subsets = [None, np.arange(T - 30, T), np.arange(T - 5, T),
+                       np.sort(rng.choice(T, size=10, replace=False))]
+            for _ in range(2):  # a second pass refills the cached full-set S
+                cache = MarginCache(rng.uniform(-0.5, 1.5, size=T))
+                for subset in subsets:
+                    acc = gradient_accumulate(cs, cache, subset)
+                    assert isinstance(acc.H, np.ndarray) == (limit is None)
+                    H = acc.H if limit is None else acc.H.toarray()
+                    G = dense_gradient(cs, cache.margins, subset)
+                    np.testing.assert_allclose(H, G + G.T, rtol=0, atol=1e-12)
+                    np.testing.assert_allclose(acc.diag, np.diag(G), rtol=0, atol=1e-12)
+                    assert acc.count == (T if subset is None else subset.size)
+
+    def test_result_survives_later_calls(self):
+        rng = np.random.default_rng(15)
+        cs = self.edge_instance(rng, 10)
+        cs.DENSE_DIM_LIMIT = 0
+        first = MarginCache(rng.uniform(-0.5, 1.5, size=len(cs)))
+        acc = gradient_accumulate(cs, first)
+        before = acc.H.toarray()
+        gradient_accumulate(cs, MarginCache(rng.uniform(-0.5, 1.5, size=len(cs))))
+        np.testing.assert_array_equal(acc.H.toarray(), before)
+
+    def test_empty_subset_rejected(self):
+        rng = np.random.default_rng(16)
+        cs = self.edge_instance(rng, 6)
+        with pytest.raises(ValueError):
+            gradient_accumulate(cs, MarginCache(np.zeros(len(cs))), np.zeros(0, dtype=np.int64))
 
 
 class TestForwardExact:
@@ -142,8 +201,8 @@ class TestForwardExact:
             cs = random_instance(rng, dim, T=20)
             cache = init_cache(cs, random_model(rng, dim, 3, lam=1.0))
             acc = gradient_accumulate(cs, cache)
-            assert isinstance(acc.cross, np.ndarray)
-            sparse_acc = GradientAccumulators(acc.diag, sp.csr_matrix(acc.cross), acc.count)
+            assert isinstance(acc.H, np.ndarray)
+            sparse_acc = GradientAccumulators(sp.csr_matrix(acc.H), acc.count)
             d_dense = forward_exact(acc, 2.0, dim)
             d_sparse = forward_exact(sparse_acc, 2.0, dim)
             assert d_dense.basis == d_sparse.basis
@@ -538,13 +597,37 @@ class TestTrain:
         # d above the dense-views threshold exercises the sparse scan in train
         rng = np.random.default_rng(84)
         cs = random_instance(rng, 600, T=50, n_points=30)
-        assert cs.dense_views() is None
+        assert sp.issparse(gradient_accumulate(cs, MarginCache(np.zeros(len(cs)))).H)
         model, history = train(cs, SolverConfig(lam=5.0, max_iters=40))
         objs = [h["objective"] for h in history]
         assert all(a >= b - 1e-12 for a, b in zip(objs, objs[1:]))
         for h in history:
             assert h["atoms"] <= h["k"] + 1
         model.check_invariants()
+
+    def test_recompute_records_drift(self):
+        rng = np.random.default_rng(86)
+        cs = random_instance(rng, 15, T=40)
+        _, history = train(cs, SolverConfig(lam=2.0, max_iters=35, gap_tol=0.0, recompute_every=10))
+        drifts = {h["k"]: h["drift"] for h in history if "drift" in h}
+        assert sorted(drifts) == [10, 20, 30]
+        assert all(0.0 <= v <= 1e-10 for v in drifts.values())
+
+    def test_drift_over_bound_raises(self, monkeypatch):
+        import hdsl.solver as solver_mod
+
+        exact_update = solver_mod.update_cache_sparse
+
+        def skewed_update(cache, *args):
+            exact_update(cache, *args)
+            cache.margins += 1e-3
+
+        monkeypatch.setattr(solver_mod, "update_cache_sparse", skewed_update)
+        rng = np.random.default_rng(86)
+        cs = random_instance(rng, 15, T=40)
+        # recompute early: skewed margins soon give a negative gap, which stops the run
+        with pytest.raises(RuntimeError, match="drift"):
+            train(cs, SolverConfig(lam=2.0, max_iters=35, gap_tol=0.0, recompute_every=2))
 
     def test_validation_early_stopping(self):
         rng = np.random.default_rng(83)

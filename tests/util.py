@@ -64,12 +64,14 @@ def dense_margins(cs: ConstraintSet, m: Model) -> np.ndarray:
     return np.einsum("ti,ij,tj->t", X, M, D)
 
 
-def dense_gradient(cs: ConstraintSet, margins: np.ndarray) -> np.ndarray:
-    """grad f = (1/T) sum_t l'(m_t) x_t d_t^T as an explicit dense matrix."""
-    g = smoothed_hinge_deriv(margins)
-    X = cs.X.toarray()
-    D = cs.D.toarray()
-    return (X * g[:, None]).T @ D / len(cs)
+def dense_gradient(cs: ConstraintSet, margins: np.ndarray, subset=None) -> np.ndarray:
+    """grad f = (1/T) sum_t l'(m_t) x_t d_t^T as an explicit dense matrix,
+    or the same mean over the constraints in `subset`."""
+    rows = np.arange(len(cs)) if subset is None else np.asarray(subset)
+    g = smoothed_hinge_deriv(margins)[rows]
+    X = cs.X.toarray()[rows]
+    D = cs.D.toarray()[rows]
+    return (X * g[:, None]).T @ D / rows.size
 
 
 def basis_score(grad: np.ndarray, b: BasisId, lam: float) -> float:
