@@ -15,7 +15,7 @@ import numpy as np
 
 from . import evaluation, synthetic
 from .constraints import link_triplets, neighbors_triplets, random_label_triplets, truth_triplets
-from .model import deserialize, factorize, project_dataset, serialize
+from .model import deserialize, factorize, project_dataset, serialize, to_csr_matrix
 from .objective import ConstraintSet
 from .sparse_data import (
     Dataset,
@@ -158,14 +158,12 @@ def cmd_eval(args) -> int:
         err = evaluation.knn_error(model, train_ds, test_ds, k=args.k)
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PRECONDITION) from exc
-    from .model import to_sparse_matrix
-
     print(json.dumps({
         "knn_error": err,
         "k": args.k,
         "atoms": model.n_atoms,
         "features": len(model.feature_set()),
-        "nnz": len(to_sparse_matrix(model)),
+        "nnz": to_csr_matrix(model).nnz,
     }))
     return 0
 

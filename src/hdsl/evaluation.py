@@ -2,13 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Set, Tuple
+from typing import Iterable, Sequence, Set, Tuple
 
 import numpy as np
 from scipy.stats import rankdata
 
-from .model import Model, factorize, project_dataset, to_sparse_matrix
-from .model import to_csr_matrix  # noqa: F401  perfbench/tracer.py patches this name here
+from .model import Model, factorize, project_dataset, to_csr_matrix
 from .sparse_data import Dataset
 
 
@@ -72,10 +71,8 @@ def knn_error(model: Model, train: Dataset, test: Dataset, k: int = 3) -> float:
 
 
 def _row_l1_scores(model: Model) -> np.ndarray:
-    scores = np.zeros(model.dim)
-    for r, _, v in to_sparse_matrix(model):
-        scores[r] += abs(v)
-    return scores
+    coo = to_csr_matrix(model).tocoo()
+    return np.bincount(coo.row, weights=np.abs(coo.data), minlength=model.dim)
 
 
 def feature_recovery_auc(model: Model, truth_features: Set[int]) -> float:
@@ -101,18 +98,20 @@ def entry_recovery_auc(model: Model, truth_entries: Set[Tuple[int, int]]) -> flo
     truth = {(min(i, j), max(i, j)) for i, j in truth_entries if i != j}
     if not truth:
         raise ValueError("truth entry set is empty")
-    scored: Dict[Tuple[int, int], float] = {}
-    for r, c, v in to_sparse_matrix(model):
-        if r < c:
-            scored[(r, c)] = abs(v)
     total = model.dim * (model.dim - 1) // 2
     n_pos = len(truth)
     n_neg = total - n_pos
     if n_neg <= 0:
         raise ValueError("truth entries cover every pair")
 
-    pos_scores = np.array([scored[p] for p in sorted(truth) if p in scored])
-    neg_scores = np.array([v for p, v in sorted(scored.items()) if p not in truth])
+    # the model's nonzero upper-triangle entries, row-major
+    coo = to_csr_matrix(model).tocoo()
+    upper = coo.row < coo.col
+    keys = coo.row[upper].astype(np.int64) * model.dim + coo.col[upper]
+    scores = np.abs(coo.data[upper])
+    # a truth pair outside [0, d) has no entry: it counts as a zero-score positive
+    in_truth = np.isin(keys, [i * model.dim + j for i, j in truth if 0 <= i and j < model.dim])
+    pos_scores, neg_scores = scores[in_truth], scores[~in_truth]
     p_s, n_s = pos_scores.size, neg_scores.size
     p_z = n_pos - p_s
     n_z = n_neg - n_s

@@ -104,56 +104,65 @@ def basis_inner(x: SparseVector, d: SparseVector, b: BasisId, lam: float) -> flo
     return lam * (xi * di + xj * dj + b.sign * (xi * dj + xj * di))
 
 
-def similarity(m: Model, x: SparseVector, x2: SparseVector) -> float:
-    """S_M(x, x') = x^T M x'.
+def _atom_arrays(m: Model):
+    """Atoms as parallel arrays (i, j, sign, alpha) in insertion order."""
+    n = m.n_atoms
+    i = np.fromiter((b.i for b in m.atoms), dtype=np.int64, count=n)
+    j = np.fromiter((b.j for b in m.atoms), dtype=np.int64, count=n)
+    sign = np.fromiter((b.sign for b in m.atoms), dtype=np.int64, count=n)
+    alpha = np.fromiter(m.atoms.values(), dtype=np.float64, count=n)
+    return i, j, sign, alpha
 
-    Iterates atoms when the model is smaller than the support product,
-    otherwise goes through the materialized sparse matrix; the two paths
-    agree to float precision.
+
+def _values_at(x: SparseVector, idx: np.ndarray) -> np.ndarray:
+    """x's values at features idx (0.0 where absent); O(len(idx) log nnz)."""
+    if x.nnz == 0:
+        return np.zeros(idx.size)
+    pos = np.minimum(np.searchsorted(x.indices, idx), x.nnz - 1)
+    return np.where(x.indices[pos] == idx, x.values[pos], 0.0)
+
+
+def similarity(m: Model, x: SparseVector, x2: SparseVector) -> float:
+    """S_M(x, x') = x^T M x' = lam * sum_B alpha_B (x_i y_i + x_j y_j +
+    s (x_i y_j + x_j y_i)), evaluated over the K atoms with a binary search
+    into each vector: O(K log nnz), no d-sized array, no matrix. The formula
+    is symmetric term by term, so swapping x and x' gives the same float.
     """
     if x.dim != x2.dim or x.dim != m.dim:
         raise ValueError("dimension mismatch")
-    if m.n_atoms < x.nnz * x2.nnz:
-        total = 0.0
-        for b, a in m.atoms.items():
-            xi, xj = x.get(b.i), x.get(b.j)
-            yi, yj = x2.get(b.i), x2.get(b.j)
-            total += a * (xi * yi + xj * yj + b.sign * (xi * yj + xj * yi))
-        return m.lam * total
-    mat = to_csr_matrix(m)
-    left = mat[x.indices][:, x2.indices].toarray()
-    return float(x.values @ left @ x2.values)
-
-
-def to_sparse_matrix(m: Model):
-    """Coordinate list of M = sum_B alpha_B * B, duplicate entries merged.
-
-    Entries that cancel to exactly zero are dropped; at most 4*|atoms|
-    entries survive and the result is symmetric.
-    """
-    acc: Dict[tuple, float] = {}
-    for b, a in m.atoms.items():
-        w = a * m.lam
-        for r, c, v in (
-            (b.i, b.i, w),
-            (b.j, b.j, w),
-            (b.i, b.j, b.sign * w),
-            (b.j, b.i, b.sign * w),
-        ):
-            acc[(r, c)] = acc.get((r, c), 0.0) + v
-    return [(r, c, v) for (r, c), v in sorted(acc.items()) if v != 0.0]
+    i, j, sign, alpha = _atom_arrays(m)
+    xi, xj = _values_at(x, i), _values_at(x, j)
+    yi, yj = _values_at(x2, i), _values_at(x2, j)
+    return m.lam * float(np.sum(alpha * (xi * yi + xj * yj + sign * (xi * yj + xj * yi))))
 
 
 def to_csr_matrix(m: Model) -> sp.csr_matrix:
-    entries = to_sparse_matrix(m)
-    if entries:
-        rows, cols, vals = zip(*entries)
-    else:
-        rows, cols, vals = (), (), ()
-    return sp.csr_matrix(
-        (np.array(vals), (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64))),
-        shape=(m.dim, m.dim),
-    )
+    """M = lam * sum_B alpha_B * B as a d x d CSR matrix, built from the atom
+    arrays in O(K log K + d).
+
+    Each atom adds w = alpha*lam at (i, i) and (j, j) and s*w at (i, j) and
+    (j, i); duplicates are summed in atom order and entries that cancel to
+    exactly zero are dropped, so at most 4*|atoms| entries survive and the
+    result is symmetric with sorted indices.
+    """
+    d = m.dim
+    i, j, sign, alpha = _atom_arrays(m)
+    w = alpha * m.lam
+    rows = np.stack([i, j, i, j], axis=1).ravel()
+    cols = np.stack([i, j, j, i], axis=1).ravel()
+    vals = np.stack([w, w, sign * w, sign * w], axis=1).ravel()
+    keys, slot = np.unique(rows * d + cols, return_inverse=True)
+    sums = np.bincount(slot, weights=vals, minlength=keys.size)
+    keep = sums != 0.0
+    keys = keys[keep]
+    indptr = np.searchsorted(keys, np.arange(d + 1, dtype=np.int64) * d)
+    return sp.csr_matrix((sums[keep], keys % d, indptr), shape=(d, d))
+
+
+def to_sparse_matrix(m: Model):
+    """Row-major coordinate list [(row, col, value)] of to_csr_matrix(m)."""
+    coo = to_csr_matrix(m).tocoo()
+    return list(zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()))
 
 
 @dataclass
@@ -177,22 +186,17 @@ class ProjectionMap:
 
 
 def factorize(m: Model) -> ProjectionMap:
-    atoms = sorted(m.atoms.items(), key=lambda kv: basis_sort_key(kv[0]))
-    i = np.array([b.i for b, _ in atoms], dtype=np.int64)
-    j = np.array([b.j for b, _ in atoms], dtype=np.int64)
-    sign = np.array([b.sign for b, _ in atoms], dtype=np.int64)
-    coeff = np.sqrt(np.array([a for _, a in atoms]) * m.lam)
-    return ProjectionMap(i=i, j=j, sign=sign, coeff=coeff, dim=m.dim)
+    i, j, sign, alpha = _atom_arrays(m)
+    order = np.lexsort((-sign, j, i))  # basis_sort_key order: (i, j), Pos before Neg
+    coeff = np.sqrt(alpha[order] * m.lam)
+    return ProjectionMap(i=i[order], j=j[order], sign=sign[order], coeff=coeff, dim=m.dim)
 
 
 def project(p: ProjectionMap, x: SparseVector) -> np.ndarray:
-    """L^T x: one component per column, c * (x_i + s * x_j)."""
+    """L^T x: one component per column, c * (x_i + s * x_j); O(K log nnz)."""
     if x.dim != p.dim:
         raise ValueError("dimension mismatch")
-    dense = dict(zip(x.indices.tolist(), x.values.tolist()))
-    xi = np.array([dense.get(int(k), 0.0) for k in p.i])
-    xj = np.array([dense.get(int(k), 0.0) for k in p.j])
-    return p.coeff * (xi + p.sign * xj)
+    return p.coeff * (_values_at(x, p.i) + p.sign * _values_at(x, p.j))
 
 
 def project_dataset(p: ProjectionMap, csr: sp.csr_matrix) -> np.ndarray:

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from .model import NEG, POS, BasisId, Model
 from .objective import (
@@ -33,6 +32,8 @@ ATOM_DROP_TOL = 1e-12
 # max(1, max |m|); float drift over a thousand steps is around 1e-13, so
 # more means the step bookkeeping is wrong
 MARGIN_DRIFT_TOL = 1e-8
+# margins are recomputed from scratch (and the drift measured) this often
+RECOMPUTE_EVERY = 1000
 
 
 @dataclass
@@ -49,7 +50,6 @@ class SolverConfig:
     val_fn: Optional[Callable[[Model], float]] = None  # higher is better
     eval_every: int = 50
     patience: int = 10
-    recompute_every: int = 1000
 
     def __post_init__(self):
         for name in ("lam", "ls_tol", "gap_tol"):
@@ -95,18 +95,6 @@ class GradientAccumulators:
         self.H = H
         self.diag = 0.5 * H.diagonal()
         self.count = count
-
-    def diag_map(self) -> Dict[int, float]:
-        idx = np.flatnonzero(self.diag)
-        return {int(i): float(self.diag[i]) for i in idx}
-
-    def offdiag_map(self) -> Dict[Tuple[int, int], float]:
-        h = sp.coo_matrix(self.H)
-        return {
-            (int(r), int(c)): float(v)
-            for r, c, v in zip(h.row, h.col, h.data)
-            if r < c and v != 0.0
-        }
 
 
 def gradient_accumulate(
@@ -535,7 +523,7 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
     for k in range(cfg.max_iters):
         state.iteration = k
         drift = None
-        if k > 0 and cfg.recompute_every > 0 and k % cfg.recompute_every == 0:
+        if k > 0 and k % RECOMPUTE_EVERY == 0:
             fresh = init_cache(cs, state.model).margins
             drift = float(np.max(np.abs(state.cache.margins - fresh)))
             if drift > MARGIN_DRIFT_TOL * max(1.0, float(np.max(np.abs(fresh)))):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from hdsl.evaluation import (
     auc,
@@ -12,7 +13,7 @@ from hdsl.model import NEG, POS, BasisId, Model, factorize, project_dataset, sim
 from hdsl.sparse_data import Dataset, SparseVector
 from hdsl.synthetic import gen_links, gen_truth, gen_uniform_sparse
 
-from util import random_model
+from util import random_model, reference_entries
 
 
 def sv(pairs, dim):
@@ -264,6 +265,51 @@ class TestEntryRecoveryAuc:
             entry_recovery_auc(m, set())
         with pytest.raises(ValueError):
             entry_recovery_auc(m, {(0, 0)})  # diagonal only -> empty after filtering
+
+
+class TestRecoveryAucsMatchReference:
+    """Both recovery AUCs equal values computed from the dict-accumulated
+    entries of tests/util.py, bit for bit."""
+
+    @staticmethod
+    def reference_feature_auc(m, truth_features):
+        scores = np.zeros(m.dim)
+        for r, _, v in reference_entries(m):
+            scores[r] += abs(v)
+        return auc(list(enumerate(scores)), set(truth_features))
+
+    @staticmethod
+    def reference_entry_auc(m, truth_entries):
+        truth = {(min(i, j), max(i, j)) for i, j in truth_entries if i != j}
+        scored = {(r, c): abs(v) for r, c, v in reference_entries(m) if r < c}
+        n_pos = len(truth)
+        n_neg = m.dim * (m.dim - 1) // 2 - n_pos
+        pos = np.array([scored[p] for p in sorted(truth) if p in scored])
+        neg = np.array([v for p, v in sorted(scored.items()) if p not in truth])
+        u_ss = 0.0
+        if pos.size and neg.size:
+            ranks = rankdata(np.concatenate([pos, neg]))
+            u_ss = float(ranks[:pos.size].sum() - pos.size * (pos.size + 1) / 2.0)
+        p_z, n_z = n_pos - pos.size, n_neg - neg.size
+        return float((u_ss + pos.size * n_z + 0.5 * p_z * n_z) / (n_pos * n_neg))
+
+    def models(self):
+        rng = np.random.default_rng(14)
+        for _ in range(10):
+            yield mixed_sign_model(rng, 25, int(rng.integers(2, 12)), lam=float(rng.uniform(0.5, 20)))
+        # P and N on the same pairs: exact cancellations off the diagonal
+        yield Model(3.0, 12, {BasisId(0, 1, POS): 0.25, BasisId(0, 1, NEG): 0.25,
+                              BasisId(1, 5, POS): 0.3, BasisId(2, 5, NEG): 0.2})
+        yield gen_truth(2000, n_bases=100, rng=np.random.default_rng(15))
+
+    def test_equal_to_reference(self):
+        rng = np.random.default_rng(16)
+        for m in self.models():
+            feats = sorted(m.feature_set())
+            truth_feats = set(feats[::2]) | set(rng.choice(m.dim, size=3, replace=False).tolist())
+            assert feature_recovery_auc(m, truth_feats) == self.reference_feature_auc(m, truth_feats)
+            pairs = [(b.j, b.i) for b in m.atoms][::2] + [tuple(rng.choice(m.dim, size=2, replace=False))]
+            assert entry_recovery_auc(m, set(pairs)) == self.reference_entry_auc(m, pairs)
 
 
 class TestLinkAuc:

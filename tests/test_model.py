@@ -20,6 +20,8 @@ from hdsl.model import (
 )
 from hdsl.sparse_data import Dataset, SparseVector
 
+from util import reference_entries
+
 
 def sv(pairs, dim):
     if not pairs:
@@ -174,6 +176,91 @@ class TestToSparseMatrix:
             for r, c, v in entries:
                 recon[r, c] = v
             np.testing.assert_allclose(recon, dense, atol=1e-12)
+
+
+class TestToCsrMatrix:
+    """to_csr_matrix against the dict accumulator in tests/util.py, bit for bit."""
+
+    @staticmethod
+    def assert_matches_reference(m):
+        ref = reference_entries(m)
+        rows = np.array([r for r, _, _ in ref], dtype=np.int64)
+        mat = to_csr_matrix(m)
+        assert mat.shape == (m.dim, m.dim)
+        np.testing.assert_array_equal(mat.indptr, np.searchsorted(rows, np.arange(m.dim + 1)))
+        np.testing.assert_array_equal(mat.indices, [c for _, c, _ in ref])
+        assert mat.data.tobytes() == np.array([v for _, _, v in ref]).tobytes()
+        assert to_sparse_matrix(m) == ref
+
+    def test_random_models_with_cancelling_pairs(self):
+        rng = np.random.default_rng(51)
+        for trial in range(40):
+            dim = int(rng.integers(2, 30))
+            atoms = {}
+            for _ in range(int(rng.integers(1, 12))):
+                i, j = sorted(rng.choice(dim, size=2, replace=False).tolist())
+                sign = POS if rng.random() < 0.5 else NEG
+                atoms[BasisId(i, j, sign)] = rng.uniform(0.05, 1.0)
+                if trial % 2 == 0:
+                    # the opposite sign with an equal weight cancels (i, j) exactly
+                    atoms[BasisId(i, j, -sign)] = atoms[BasisId(i, j, sign)]
+            total = sum(atoms.values())
+            m = Model(float(rng.uniform(0.1, 50)), dim, {b: a / total for b, a in atoms.items()})
+            self.assert_matches_reference(m)
+        m = Model(2.0, 2, {BasisId(0, 1, POS): 0.5, BasisId(0, 1, NEG): 0.5})
+        assert to_csr_matrix(m).nnz == 2
+        self.assert_matches_reference(m)
+
+    def test_many_atoms_sharing_a_feature(self):
+        # (0, 0) sums 12 terms, so the summation order shows in the last bits
+        rng = np.random.default_rng(52)
+        for _ in range(10):
+            atoms = {BasisId(0, j, POS if rng.random() < 0.5 else NEG): rng.uniform(0.01, 1.0)
+                     for j in rng.permutation(np.arange(1, 13)).tolist()}
+            total = sum(atoms.values())
+            self.assert_matches_reference(Model(7.3, 16, {b: a / total for b, a in atoms.items()}))
+
+    def test_single_atom(self):
+        self.assert_matches_reference(Model(0.7, 9, {BasisId(3, 7, NEG): 1.0}))
+        self.assert_matches_reference(Model(3.0, 2, {BasisId(0, 1, POS): 1.0}))
+
+
+class TestSimilarityOnePath:
+    def test_exactly_symmetric_on_mixed_sign_models(self):
+        rng = np.random.default_rng(53)
+        for _ in range(200):
+            dim = int(rng.integers(4, 30))
+            m = random_model(rng, dim, int(rng.integers(1, min(40, dim * (dim - 1)) + 1)))
+            x, y = random_vec(rng, dim, max_nnz=6), random_vec(rng, dim, max_nnz=6)
+            assert similarity(m, x, y) == similarity(m, y, x)
+
+    @pytest.mark.parametrize("n_atoms", [2, 60])
+    def test_matches_dense_product(self, n_atoms):
+        # K below and above nnz(x) * nnz(y)
+        rng = np.random.default_rng(54 + n_atoms)
+        for _ in range(40):
+            m = random_model(rng, 20, n_atoms)
+            x, y = random_vec(rng, 20, max_nnz=7), random_vec(rng, 20, max_nnz=7)
+            expected = float(x.to_dense() @ dense_model(m) @ y.to_dense())
+            assert abs(similarity(m, x, y) - expected) <= 1e-12
+
+    def test_empty_vectors(self):
+        m = random_model(np.random.default_rng(55), 10, 5)
+        x = sv([(2, 1.5), (7, -0.5)], 10)
+        assert similarity(m, sv([], 10), x) == 0.0
+        assert similarity(m, x, sv([], 10)) == 0.0
+        assert similarity(m, sv([], 10), sv([], 10)) == 0.0
+
+    def test_project_equals_project_dataset_row(self):
+        rng = np.random.default_rng(56)
+        for _ in range(10):
+            dim = int(rng.integers(5, 25))
+            m = random_model(rng, dim, int(rng.integers(1, 15)))
+            p = factorize(m)
+            pts = [random_vec(rng, dim) for _ in range(8)]
+            batch = project_dataset(p, Dataset(pts, dim=dim).to_csr())
+            for r, x in enumerate(pts):
+                assert project(p, x).tobytes() == batch[r].tobytes()
 
 
 class TestFactorization:

@@ -62,16 +62,18 @@ class TestGradientAccumulate:
         ds = Dataset([sv([(0, 1.0)], 4), sv([(1, 1.0)], 4), sv([(2, 1.0)], 4)])
         cs = ConstraintSet(ds, np.array([[0, 1, 2]]))
         acc = gradient_accumulate(cs, MarginCache(np.array([5.0])))
-        assert acc.diag_map() == {}
-        assert acc.offdiag_map() == {}
+        np.testing.assert_array_equal(acc.diag, np.zeros(4))
+        np.testing.assert_array_equal(sp.csr_matrix(acc.H).toarray(), np.zeros((4, 4)))
 
     def test_single_cross_constraint(self):
         # x = e0, d = e1, margin 0 so the loss derivative is -1
         ds = Dataset([sv([(0, 1.0)], 4), sv([(1, 1.0)], 4), sv([], 4)])
         cs = ConstraintSet(ds, np.array([[0, 1, 2]]))
         acc = gradient_accumulate(cs, MarginCache(np.array([0.0])))
-        assert acc.diag_map() == {}
-        assert acc.offdiag_map() == {(0, 1): -1.0}
+        expected = np.zeros((4, 4))
+        expected[0, 1] = expected[1, 0] = -1.0
+        np.testing.assert_array_equal(acc.diag, np.zeros(4))
+        np.testing.assert_array_equal(sp.csr_matrix(acc.H).toarray(), expected)
 
     def test_scores_match_dense_oracle(self):
         rng = np.random.default_rng(12)
@@ -605,10 +607,13 @@ class TestTrain:
             assert h["atoms"] <= h["k"] + 1
         model.check_invariants()
 
-    def test_recompute_records_drift(self):
+    def test_recompute_records_drift(self, monkeypatch):
+        import hdsl.solver as solver_mod
+
+        monkeypatch.setattr(solver_mod, "RECOMPUTE_EVERY", 10)
         rng = np.random.default_rng(86)
         cs = random_instance(rng, 15, T=40)
-        _, history = train(cs, SolverConfig(lam=2.0, max_iters=35, gap_tol=0.0, recompute_every=10))
+        _, history = train(cs, SolverConfig(lam=2.0, max_iters=35, gap_tol=0.0))
         drifts = {h["k"]: h["drift"] for h in history if "drift" in h}
         assert sorted(drifts) == [10, 20, 30]
         assert all(0.0 <= v <= 1e-10 for v in drifts.values())
@@ -623,11 +628,12 @@ class TestTrain:
             cache.margins += 1e-3
 
         monkeypatch.setattr(solver_mod, "update_cache_sparse", skewed_update)
+        # recompute early: skewed margins soon give a negative gap, which stops the run
+        monkeypatch.setattr(solver_mod, "RECOMPUTE_EVERY", 2)
         rng = np.random.default_rng(86)
         cs = random_instance(rng, 15, T=40)
-        # recompute early: skewed margins soon give a negative gap, which stops the run
         with pytest.raises(RuntimeError, match="drift"):
-            train(cs, SolverConfig(lam=2.0, max_iters=35, gap_tol=0.0, recompute_every=2))
+            train(cs, SolverConfig(lam=2.0, max_iters=35, gap_tol=0.0))
 
     def test_validation_early_stopping(self):
         rng = np.random.default_rng(83)

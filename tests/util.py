@@ -57,6 +57,18 @@ def dense_model_matrix(m: Model) -> np.ndarray:
     return out
 
 
+def reference_entries(m: Model):
+    """M's coordinate list from a dict accumulator: each atom adds w = alpha*lam
+    at (i, i), (j, j) and s*w at (i, j), (j, i) in atom order; exact zeros
+    are dropped and the list is row-major."""
+    acc = {}
+    for b, a in m.atoms.items():
+        w = a * m.lam
+        for r, c, v in ((b.i, b.i, w), (b.j, b.j, w), (b.i, b.j, b.sign * w), (b.j, b.i, b.sign * w)):
+            acc[(r, c)] = acc.get((r, c), 0.0) + v
+    return [(r, c, v) for (r, c), v in sorted(acc.items()) if v != 0.0]
+
+
 def dense_margins(cs: ConstraintSet, m: Model) -> np.ndarray:
     M = dense_model_matrix(m)
     X = cs.X.toarray()
