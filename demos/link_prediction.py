@@ -9,6 +9,7 @@ per iteration no matter how many exist.
 """
 
 import argparse
+import sys
 import time
 
 import numpy as np
@@ -29,7 +30,12 @@ def run_dimension(d, n, n_links, per_link, seed):
     # thin out the data as d grows, like real sparse corpora
     avg_sparsity = min(0.015, 375.0 / d)
     samples = gen_powerlaw_sparse(n, d, avg_sparsity=avg_sparsity, exponent=0.5, rng=rng)
-    truth = gen_truth_frequent(d, n_bases=60, samples=samples, min_freq=0.1, rng=rng)
+    try:
+        truth = gen_truth_frequent(d, n_bases=60, samples=samples, min_freq=0.1, rng=rng)
+    except ValueError as exc:
+        # small d or n leave too few frequent features for 60 planted bases
+        print(f"error: d={d}: cannot plant the similarity: {exc}", file=sys.stderr)
+        sys.exit(2)
     links = gen_links(samples, truth, n_links=n_links, top_frac=0.05, rng=rng)
     third = n_links // 3
     train_l, val_l, test_l = links[:third], links[third:2 * third], links[2 * third:]

@@ -80,6 +80,8 @@ def feature_recovery_auc(model: Model, truth_features: Set[int]) -> float:
     set of features active in the ground truth."""
     if not truth_features:
         raise ValueError("truth feature set is empty")
+    if min(truth_features) < 0 or max(truth_features) >= model.dim:
+        raise ValueError(f"truth feature outside [0, {model.dim})")
     if len(truth_features) >= model.dim:
         raise ValueError("truth features must be a proper subset of all features")
     scores = _row_l1_scores(model)
@@ -95,6 +97,8 @@ def entry_recovery_auc(model: Model, truth_entries: Set[Tuple[int, int]]) -> flo
     The zero-score mass (all pairs absent from the model) is handled in
     closed form, so the d*(d-1)/2 pair universe is never materialized.
     """
+    if any(not (0 <= i < model.dim and 0 <= j < model.dim) for i, j in truth_entries):
+        raise ValueError(f"truth entry outside [0, {model.dim})")
     truth = {(min(i, j), max(i, j)) for i, j in truth_entries if i != j}
     if not truth:
         raise ValueError("truth entry set is empty")
@@ -109,8 +113,7 @@ def entry_recovery_auc(model: Model, truth_entries: Set[Tuple[int, int]]) -> flo
     upper = coo.row < coo.col
     keys = coo.row[upper].astype(np.int64) * model.dim + coo.col[upper]
     scores = np.abs(coo.data[upper])
-    # a truth pair outside [0, d) has no entry: it counts as a zero-score positive
-    in_truth = np.isin(keys, [i * model.dim + j for i, j in truth if 0 <= i and j < model.dim])
+    in_truth = np.isin(keys, [i * model.dim + j for i, j in truth])
     pos_scores, neg_scores = scores[in_truth], scores[~in_truth]
     p_s, n_s = pos_scores.size, neg_scores.size
     p_z = n_pos - p_s

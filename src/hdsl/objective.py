@@ -40,10 +40,14 @@ def smoothed_hinge_deriv(m):
 class ConstraintSet:
     """Triplet constraints over a dataset, with precomputed sparse views.
 
-    Builds once: anchor rows X (T x d), difference rows D = X_b - X_c,
-    their CSC transposes for feature-column access, and the elementwise
-    product X.multiply(D), whose column sums give the heuristic oracle's
-    diagonal statistic. The exact statistic uses pair_statistic instead.
+    Builds once, in two forms. The point view is what the oracles read:
+    `local` (T x 3 indices into the n_used points some triplet references),
+    those points as rows of `P` and `PT` = P^T; pair_statistic (exact and
+    mini-batch oracles), pair_inners and the heuristic oracle's partner
+    scores work from it. The triplet view holds anchor rows X (T x d),
+    difference rows D = X_b - X_c and XD = X.multiply(D), whose column sums
+    give the heuristic oracle's diagonal statistic; lipschitz_constant and
+    the dense test references read X and D.
     """
 
     DENSE_DIM_LIMIT = 512
@@ -70,31 +74,34 @@ class ConstraintSet:
         D.eliminate_zeros()
         self.X: sp.csr_matrix = X
         self.D: sp.csr_matrix = D
-        self.X_csc: sp.csc_matrix = X.tocsc()
-        self.D_csc: sp.csc_matrix = D.tocsc()
         self.XD: sp.csr_matrix = X.multiply(D).tocsr()
         self.XD.eliminate_zeros()
-        self._work = np.zeros(len(self))
-        self._points = None
+
+        # P is dense when d and n_used*d are small, where a BLAS product beats
+        # sparse bookkeeping by a wide margin, and CSR otherwise; P^T is kept
+        # as CSR too, since a CSC left operand makes scipy convert S P.
+        used, local = np.unique(arr.ravel(), return_inverse=True)
+        P = base[used]
+        if self.dim <= self.DENSE_DIM_LIMIT and used.size * self.dim <= self.DENSE_CELL_LIMIT:
+            P = P.toarray()
+            PT = P.T
+        else:
+            PT = P.T.tocsr()
+        # column-major, since pair_inners gathers over whole a, b, c columns
+        self.local: np.ndarray = np.asfortranarray(local.reshape(-1, 3))
+        self.P = P
+        self.PT = PT
         self._full_pattern = None
 
-    def _point_view(self):
-        """(local triplets, P, P^T) over the points some triplet references.
-
-        P is dense when d and n_used*d are small, where a BLAS product beats
-        sparse bookkeeping by a wide margin, and CSR otherwise; P^T is kept
-        as CSR too, since a CSC left operand makes scipy convert S P.
-        """
-        if self._points is None:
-            used, local = np.unique(self.triplets.ravel(), return_inverse=True)
-            P = self.dataset.to_csr()[used]
-            if self.dim <= self.DENSE_DIM_LIMIT and used.size * self.dim <= self.DENSE_CELL_LIMIT:
-                P = P.toarray()
-                PT = P.T
-            else:
-                PT = P.T.tocsr()
-            self._points = (local.reshape(-1, 3), P, PT)
-        return self._points
+    def _feature_column(self, f: int) -> np.ndarray:
+        """Feature f of every referenced point, as a dense n_used vector; a
+        read-only view into P when P is dense."""
+        if isinstance(self.P, np.ndarray):
+            return self.P[:, f]
+        lo, hi = self.PT.indptr[f], self.PT.indptr[f + 1]
+        col = np.zeros(self.P.shape[0])
+        col[self.PT.indices[lo:hi]] = self.PT.data[lo:hi]
+        return col
 
     def pair_statistic(self, g: np.ndarray, subset: Optional[np.ndarray] = None):
         """sum_t g_t (x_t d_t^T + d_t x_t^T) over all constraints or a subset.
@@ -108,7 +115,7 @@ class ConstraintSet:
         cost follows the subset. Without reuse the T outer products are
         cheaper, and the active (g_t != 0) ones are summed directly.
         """
-        local, P, PT = self._point_view()
+        local, P, PT = self.local, self.P, self.PT
         n_ref = P.shape[0]
         if subset is not None:
             local, g = local[subset], g[subset]
@@ -136,35 +143,19 @@ class ConstraintSet:
         a, b, c = self.triplets[t]
         return TripletConstraint(a, b, c)
 
-    def _col(self, csc: sp.csc_matrix, f: int):
-        lo, hi = csc.indptr[f], csc.indptr[f + 1]
-        return csc.indices[lo:hi], csc.data[lo:hi]
-
     def pair_inners(self, i: int, j: int, sign: int, lam: float):
         """Per-constraint <A^t, B> for basis (i, j, sign), as sparse (rows, values).
 
-        Nonzero only where the difference vector touches feature i or j, so
-        the cost is proportional to the involved column supports.
+        Nonzero only where the difference vector touches feature i or j.
+        Reads features i and j of the referenced points (O(n_used)) and
+        gathers them over the triplets (O(T), vectorized).
         """
-        di_r, di_v = self._col(self.D_csc, i)
-        dj_r, dj_v = self._col(self.D_csc, j)
-        rows = np.union1d(di_r, dj_r)
-        if rows.size == 0:
-            return rows, np.zeros(0)
-        xi_r, xi_v = self._col(self.X_csc, i)
-        xj_r, xj_v = self._col(self.X_csc, j)
-        w = self._work
-
-        def gather(col_rows, col_vals):
-            w[col_rows] = col_vals
-            out = w[rows].copy()
-            w[col_rows] = 0.0
-            return out
-
-        xi = gather(xi_r, xi_v)
-        xj = gather(xj_r, xj_v)
-        di = gather(di_r, di_v)
-        dj = gather(dj_r, dj_v)
+        pi, pj = self._feature_column(i), self._feature_column(j)
+        a, b, c = self.local.T
+        di, dj = pi[b] - pi[c], pj[b] - pj[c]
+        rows = np.flatnonzero((di != 0.0) | (dj != 0.0))
+        anchors = a[rows]
+        xi, xj, di, dj = pi[anchors], pj[anchors], di[rows], dj[rows]
         vals = lam * (xi * di + xj * dj + sign * (xi * dj + xj * di))
         keep = vals != 0.0
         return rows[keep], vals[keep]

@@ -193,33 +193,30 @@ def forward_minibatch(
     return forward_exact(acc, lam, cs.dim, cs=cs)
 
 
-def _filter_to_mask(rows, vals, mask):
-    keep = mask[rows]
-    return rows[keep], vals[keep]
-
-
 def _partner_scores(
     cs: ConstraintSet,
+    tri: np.ndarray,
     g: np.ndarray,
-    mask: np.ndarray,
     count: int,
     lam: float,
     i: int,
     diag: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Scores of the best-signed basis (i, j) for every partner j, plus signs."""
-    h = np.zeros(cs.dim)
-    xi_r, xi_v = _filter_to_mask(*cs._col(cs.X_csc, i), mask)
-    if xi_r.size:
-        dsub = cs.D[xi_r]
-        w = np.repeat(g[xi_r] * xi_v, np.diff(dsub.indptr))
-        h += np.bincount(dsub.indices, weights=dsub.data * w, minlength=cs.dim)
-    di_r, di_v = _filter_to_mask(*cs._col(cs.D_csc, i), mask)
-    if di_r.size:
-        xsub = cs.X[di_r]
-        w = np.repeat(g[di_r] * di_v, np.diff(xsub.indptr))
-        h += np.bincount(xsub.indices, weights=xsub.data * w, minlength=cs.dim)
-    h /= count
+    """Scores of the best-signed basis (i, j) for every partner j, plus signs.
+
+    Row i of the pair matrix over the active triplets `tri` (local point
+    indices) with loss derivatives g is h = v^T P: triplet t adds
+    g_t d_ti to v[a], g_t x_ti to v[b] and -g_t x_ti to v[c].
+    """
+    col = cs._feature_column(i)
+    a, b, c = tri.T
+    xi = g * col[a]
+    di = g * (col[b] - col[c])
+    v = np.bincount(
+        np.concatenate((a, b, c)), weights=np.concatenate((di, xi, -xi)), minlength=col.size
+    )
+    nz = np.flatnonzero(v)
+    h = cs.P[nz].T @ v[nz] / count
     scores = lam * (diag[i] + diag - np.abs(h))
     scores[i] = np.inf
     signs = np.where(h > 0, NEG, POS)
@@ -235,8 +232,12 @@ def forward_heuristic(
     dim: int,
 ) -> Direction:
     """Two-stage restricted search: best partner of a random feature, then
-    best partner of that partner. Costs O(M s) per iteration instead of
-    the mini-batch oracle's O(M s^2).
+    best partner of that partner.
+
+    Per stage: O(M) to bin the batch's active triplets onto their points,
+    O(n_used) for the feature column, O(sum of nnz of the touched point
+    rows) for the partner scores and O(d) to rank them; the mini-batch
+    oracle pays O(M s^2) instead.
     """
     if dim < 2:
         raise ValueError("need at least two features")
@@ -246,19 +247,18 @@ def forward_heuristic(
     subset = np.sort(rng.choice(len(cs), size=size, replace=False))
     count = subset.size
     active = subset[g[subset] != 0.0]
-    mask = np.zeros(len(cs), dtype=bool)
-    mask[active] = True
+    tri, g_active = cs.local[active], g[active]
 
     diag = np.zeros(cs.dim)
     if active.size:
         xd = cs.XD[active]
-        w = np.repeat(g[active], np.diff(xd.indptr))
+        w = np.repeat(g_active, np.diff(xd.indptr))
         diag = np.bincount(xd.indices, weights=xd.data * w, minlength=cs.dim) / count
 
     i0 = int(rng.integers(dim))
-    scores1, signs1 = _partner_scores(cs, g, mask, count, lam, i0, diag)
+    scores1, signs1 = _partner_scores(cs, tri, g_active, count, lam, i0, diag)
     j1 = int(np.argmin(scores1))
-    scores2, signs2 = _partner_scores(cs, g, mask, count, lam, j1, diag)
+    scores2, signs2 = _partner_scores(cs, tri, g_active, count, lam, j1, diag)
     j2 = int(np.argmin(scores2))
 
     basis = BasisId(min(j1, j2), max(j1, j2), int(signs2[j2]))

@@ -222,12 +222,24 @@ class TestFeatureRecoveryAuc:
         with pytest.raises(ValueError):
             feature_recovery_auc(m, set(range(10)))
 
+    @pytest.mark.parametrize("feats", [{-1, 3}, {0, 40}, {3, 10}])
+    def test_out_of_range_truth_rejected(self, feats):
+        m = Model(1.0, 10, {BasisId(0, 1, POS): 1.0})
+        with pytest.raises(ValueError, match="outside"):
+            feature_recovery_auc(m, feats)
+
 
 class TestEntryRecoveryAuc:
     def test_truth_model_scores_one(self):
         truth = gen_truth(30, n_bases=5, rng=np.random.default_rng(6))
         entries = {(b.i, b.j) for b in truth.atoms}
         assert entry_recovery_auc(truth, entries) == 1.0
+
+    @pytest.mark.parametrize("entries", [{(0, 25), (3, 4)}, {(-1, 2), (3, 4)}, {(10, 10), (3, 4)}])
+    def test_out_of_range_truth_rejected(self, entries):
+        m = Model(1.0, 10, {BasisId(0, 1, POS): 1.0})
+        with pytest.raises(ValueError, match="outside"):
+            entry_recovery_auc(m, entries)
 
     def test_zero_offdiagonal_model_is_half(self):
         # P and N on the same pair cancel off-diagonal: all pair scores zero

@@ -120,6 +120,65 @@ class TestInitCache:
             assert cache.margins[t] == pytest.approx(expected, abs=1e-12)
 
 
+class TestPairInners:
+    """pair_inners over the point view against per-triplet basis_inner."""
+
+    @staticmethod
+    def edge_set():
+        ds = Dataset(
+            [
+                sv([(0, 0.5), (1, 0.9)], 6),
+                sv([(1, 0.3), (2, 0.7)], 6),
+                sv([(1, 0.4), (3, 0.8)], 6),
+                sv([(1, 0.4), (4, 0.6)], 6),  # shares feature 1's value with point 2
+                sv([(0, 0.2), (5, 1.0)], 6),
+                sv([], 6),
+                sv([(0, 0.6), (2, 0.1)], 6),  # points 6 and 7 are never referenced
+                sv([(1, 0.5), (3, 0.5)], 6),
+            ],
+            dim=6,
+        )
+        trips = np.array([[0, 0, 1], [4, 2, 3], [1, 3, 2], [0, 5, 4], [2, 1, 0], [5, 0, 1]])
+        return ConstraintSet(ds, trips)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_matches_basis_inner(self, sparse, monkeypatch):
+        from hdsl.sparse_data import diff
+
+        if sparse:
+            monkeypatch.setattr(ConstraintSet, "DENSE_DIM_LIMIT", 0)
+        rng = np.random.default_rng(3)
+        for cs in [self.edge_set(), random_constraints(rng, random_dataset(rng, 14, 9), 30)]:
+            assert isinstance(cs.P, np.ndarray) != sparse
+            ds = cs.dataset
+            dim = cs.dim
+            for i in range(dim):
+                for j in range(i + 1, dim):
+                    for sign in (POS, NEG):
+                        rows, vals = cs.pair_inners(i, j, sign, 1.3)
+                        expected = np.array([
+                            basis_inner(ds[a], diff(ds[b], ds[c]), BasisId(i, j, sign), 1.3)
+                            for a, b, c in cs.triplets
+                        ])
+                        np.testing.assert_array_equal(rows, np.flatnonzero(expected))
+                        np.testing.assert_allclose(vals, expected[rows], rtol=0, atol=1e-12)
+
+    def test_dense_and_sparse_views_bit_identical(self, monkeypatch):
+        rng = np.random.default_rng(4)
+        ds = random_dataset(rng, 20, 12)
+        trips = random_constraints(rng, ds, 60).triplets
+        dense = ConstraintSet(ds, trips)
+        monkeypatch.setattr(ConstraintSet, "DENSE_CELL_LIMIT", 0)
+        sparse = ConstraintSet(ds, trips)
+        assert isinstance(dense.P, np.ndarray) and not isinstance(sparse.P, np.ndarray)
+        for i in range(12):
+            for j in range(i + 1, 12):
+                for sign in (POS, NEG):
+                    for got, want in zip(sparse.pair_inners(i, j, sign, 0.7),
+                                         dense.pair_inners(i, j, sign, 0.7)):
+                        np.testing.assert_array_equal(got, want)
+
+
 class TestUpdateCache:
     def test_full_forward_step_replaces(self):
         cache = MarginCache(np.array([3.0, -2.0]))

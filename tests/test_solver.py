@@ -22,6 +22,7 @@ from hdsl.solver import (
     line_search,
     lipschitz_constant,
     train,
+    _partner_scores,
 )
 from hdsl.sparse_data import Dataset, SparseVector
 
@@ -111,13 +112,13 @@ class TestPairStatistic:
 
     @pytest.mark.parametrize("reuse", [True, False])
     @pytest.mark.parametrize("limit", [None, "DENSE_DIM_LIMIT", "DENSE_CELL_LIMIT"])
-    def test_matches_dense_gradient(self, limit, reuse):
+    def test_matches_dense_gradient(self, limit, reuse, monkeypatch):
+        if limit is not None:
+            monkeypatch.setattr(ConstraintSet, limit, 0)  # build on the sparse side
         rng = np.random.default_rng(14)
         for _ in range(5):
             dim = int(rng.integers(4, 20))
             cs = self.edge_instance(rng, dim) if reuse else self.disjoint_instance(rng, dim)
-            if limit is not None:
-                setattr(cs, limit, 0)  # push this instance to the sparse side
             T = len(cs)
             # edge instance: all but the last 5 (7 points) reuse points and
             # take P^T S P; the disjoint instance always takes outer products
@@ -134,10 +135,10 @@ class TestPairStatistic:
                     np.testing.assert_allclose(acc.diag, np.diag(G), rtol=0, atol=1e-12)
                     assert acc.count == (T if subset is None else subset.size)
 
-    def test_result_survives_later_calls(self):
+    def test_result_survives_later_calls(self, monkeypatch):
+        monkeypatch.setattr(ConstraintSet, "DENSE_DIM_LIMIT", 0)
         rng = np.random.default_rng(15)
         cs = self.edge_instance(rng, 10)
-        cs.DENSE_DIM_LIMIT = 0
         first = MarginCache(rng.uniform(-0.5, 1.5, size=len(cs)))
         acc = gradient_accumulate(cs, first)
         before = acc.H.toarray()
@@ -312,6 +313,37 @@ class TestForwardHeuristic:
         cache = MarginCache(np.array([2.0]))  # satisfied
         d = forward_heuristic(cs, cache, 1, np.random.default_rng(3), lam=1.0, dim=5)
         assert d.score == 0.0
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_partner_scores_match_dense_gradient(self, sparse, monkeypatch):
+        # row i of H = G + G^T over the batch; margins in [-0.5, 1.5] leave
+        # some batch triplets inactive, margins of 2 leave all of them
+        if sparse:
+            monkeypatch.setattr(ConstraintSet, "DENSE_DIM_LIMIT", 0)
+        rng = np.random.default_rng(36)
+        cs = random_instance(rng, 15, T=80, n_points=20)
+        assert isinstance(cs.P, np.ndarray) != sparse
+        lam = 1.4
+        cases = ((rng.uniform(-0.5, 1.5, size=80), True), (np.full(80, 2.0), False))
+        for margins, any_active in cases:
+            cache = MarginCache(margins)
+            g = cache.derivs()
+            batch = np.sort(rng.choice(80, size=30, replace=False))
+            active = batch[g[batch] != 0.0]
+            assert active.size < batch.size and (active.size > 0) == any_active
+            G = dense_gradient(cs, margins, subset=batch)
+            H, diag = G + G.T, np.diag(G)
+            for i in range(15):
+                scores, signs = _partner_scores(
+                    cs, cs.local[active], g[active], batch.size, lam, i, diag
+                )
+                want = lam * (diag[i] + diag - np.abs(H[i]))
+                want[i] = np.inf
+                np.testing.assert_allclose(scores, want, rtol=0, atol=1e-12)
+                clear = np.abs(H[i]) > 1e-12
+                np.testing.assert_array_equal(signs[clear], np.where(H[i] > 0, NEG, POS)[clear])
+                if not any_active:
+                    assert np.all(signs == POS)
 
     def test_seed_reproducibility(self):
         rng = np.random.default_rng(35)
