@@ -82,7 +82,6 @@ def _solver_config(args, T: int, val_fn=None, patience=None) -> SolverConfig:
             max_iters=args.iters,
             oracle=args.oracle,
             batch_size=min(batch, T),
-            ls_tol=args.ls_tol,
             gap_tol=args.gap_tol,
             seed=args.seed,
             val_fn=val_fn,
@@ -302,7 +301,6 @@ def _add_solver_flags(p, lam_required=True):
     p.add_argument("--iters", type=int, default=1000)
     p.add_argument("--oracle", choices=["exact", "minibatch", "heuristic"], default="exact")
     p.add_argument("--batch", type=int, default=0, help="constraint sample size for sampled oracles")
-    p.add_argument("--ls-tol", dest="ls_tol", type=float, default=1e-6)
     p.add_argument("--gap-tol", dest="gap_tol", type=float, default=1e-5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--patience", type=int, default=10)

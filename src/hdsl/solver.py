@@ -2,8 +2,8 @@
 
 Each iteration picks the best forward basis (exact, mini-batch estimated, or
 two-stage heuristic search), compares it with the best away direction over
-the active atoms, line-searches the step size by bisection on the directional
-derivative, and updates the model weights plus the margin cache in O(T).
+the active atoms, steps to the exact minimiser of the objective along the
+chosen direction, and updates the model weights plus the margin cache in O(T).
 The per-iteration cost never touches all d^2 feature pairs: the exact oracle
 accumulates over constraint supports, the approximate oracles over a sampled
 subset of constraints.
@@ -38,13 +38,15 @@ RECOMPUTE_EVERY = 1000
 
 @dataclass
 class SolverConfig:
-    """Knobs for train(); see the README for the oracle trade-offs."""
+    """Knobs for train(); see the README for the oracle trade-offs.
+
+    Step sizes take no knob: line_search is exact. `eval_every` must be >= 1.
+    """
 
     lam: float
     max_iters: int = 1000
     oracle: str = "exact"  # "exact" | "minibatch" | "heuristic"
     batch_size: int = 0
-    ls_tol: float = 1e-6
     gap_tol: float = 1e-5
     seed: int = 0
     val_fn: Optional[Callable[[Model], float]] = None  # higher is better
@@ -52,7 +54,7 @@ class SolverConfig:
     patience: int = 10
 
     def __post_init__(self):
-        for name in ("lam", "ls_tol", "gap_tol"):
+        for name in ("lam", "gap_tol"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.lam <= 0:
@@ -61,6 +63,8 @@ class SolverConfig:
             raise ValueError(f"unknown oracle {self.oracle!r}")
         if self.oracle in ("minibatch", "heuristic") and self.batch_size <= 0:
             raise ValueError("batch_size must be positive for sampled oracles")
+        if self.eval_every < 1:
+            raise ValueError("eval_every must be >= 1")
 
 
 @dataclass
@@ -331,72 +335,54 @@ def choose_direction(fwd: Direction, away: Direction, cache: MarginCache) -> Dir
     return away
 
 
-def _dense_inners(cache: MarginCache, d: Direction) -> np.ndarray:
-    b = np.zeros(cache.count)
-    if d.inner_rows.size:
-        b[d.inner_rows] = d.inner_vals
-    return b
+def line_search(cache: MarginCache, d: Direction) -> float:
+    """Exact minimiser of phi(gamma) = f(M + gamma*D) on [0, gamma_max].
 
-
-def line_search(cache: MarginCache, d: Direction, eps: float) -> float:
-    """Bisection on the directional derivative of the objective along d.
-
-    phi(gamma) averages the loss at the stepped margins. Returns a boundary
-    when the derivative does not change sign on [0, gamma_max]; otherwise
-    bisects until the bracket is narrower than eps or the derivative
-    magnitude drops below eps (at most ~log2(gamma_max/eps) + 2 derivative
-    evaluations, each O(T)). A final value check guards descent against
-    the last half-bracket of imprecision.
+    With u the margin change along d, phi'(gamma) = mean(l'(m + gamma*u) * u),
+    l' = clip(. - 1, -1, 0), is piecewise linear and nondecreasing, and its
+    slope on a piece is mean(u^2) over the rows with 0 < m + gamma*u < 1.
+    A boundary is returned when phi' does not change sign on [0, gamma_max].
+    Otherwise Newton steps run inside the bracket [lo, hi] (bisecting when a
+    step leaves it), and a Newton point is the root once no row changes
+    piece between it and the point it came from. A bracket of adjacent
+    floats returns lo. Each evaluation is O(T).
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     gmax = d.gamma_max
     if gmax <= 0:
         return 0.0
     m = cache.margins
-    b = _dense_inners(cache, d)
+    b = np.zeros(m.size)
+    b[d.inner_rows] = d.inner_vals
     u = b - m if d.kind == "F" else m - b
-    T = m.size
-    work = np.empty_like(m)
+    u2 = u * u
 
-    def deriv(gamma: float) -> float:
-        # phi'(gamma) = mean(l'(m + gamma*u) * u), with l' = clip(.-1, -1, 0)
-        np.multiply(u, gamma, out=work)
-        np.add(work, m, out=work)
-        np.subtract(work, 1.0, out=work)
-        np.clip(work, -1.0, 0.0, out=work)
-        return float(work @ u) / T
+    def deriv(gamma: float):
+        # T*phi'(gamma), T*phi''(gamma) and each row's piece: 0 where the
+        # loss is linear, 1 where quadratic, 2 where zero
+        ld = np.clip(m + gamma * u - 1.0, -1.0, 0.0)
+        quad = (ld > -1.0) & (ld < 0.0)
+        return float(ld @ u), float(u2 @ quad), quad + 2 * (ld == 0.0)
 
-    def value(gamma: float) -> float:
-        np.multiply(u, -gamma, out=work)
-        np.subtract(work, m, out=work)
-        np.add(work, 1.0, out=work)  # z = 1 - (m + gamma*u)
-        c = np.clip(work, 0.0, 1.0)
-        np.subtract(work, 0.5 * c, out=work)
-        return float(c @ work) / T
-
-    if deriv(0.0) >= 0.0:
+    dphi, curv, piece = deriv(0.0)
+    if dphi >= 0.0:
         return 0.0
-    if deriv(gmax) <= 0.0:
+    if deriv(gmax)[0] <= 0.0:
         return gmax
-    lo, hi = 0.0, gmax
-    max_evals = int(math.ceil(math.log2(max(gmax / eps, 2.0)))) + 2
-    for _ in range(max_evals):
-        mid = 0.5 * (lo + hi)
-        dm = deriv(mid)
-        if abs(dm) <= eps:
-            lo = hi = mid
-            break
-        if dm < 0.0:
-            lo = mid
+    lo, hi, gamma = 0.0, gmax, 0.0
+    while True:
+        # a piece with zero curvature has no Newton point: bisect
+        newton = gamma - dphi / curv if curv > 0.0 else hi
+        nxt = newton if lo < newton < hi else 0.5 * (lo + hi)
+        if not lo < nxt < hi:
+            return lo
+        dphi_n, curv, piece_n = deriv(nxt)
+        if dphi_n == 0.0 or (nxt == newton and np.array_equal(piece, piece_n)):
+            return nxt
+        if dphi_n < 0.0:
+            lo = nxt
         else:
-            hi = mid
-        if hi - lo <= eps:
-            break
-    gamma = 0.5 * (lo + hi)
-    if value(gamma) > value(0.0):
-        gamma = lo  # phi'(lo) < 0, so phi(lo) <= phi(0)
-    return gamma
+            hi = nxt
+        gamma, dphi, piece = nxt, dphi_n, piece_n
 
 
 @dataclass
@@ -467,7 +453,7 @@ def apply_step(state: SolverState, d: Direction, gamma: float) -> None:
 
 
 def fw_gap(state: SolverState, fwd: Direction) -> float:
-    """Duality gap <M - B_F, grad f>; nonnegative, zero at the optimum."""
+    """Duality gap <M - B_F, grad f>; nonnegative up to rounding, zero at the optimum."""
     return grad_inner_with_model(state.cache) - fwd.score
 
 
@@ -563,7 +549,7 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
 
         away = away_direction(state.model, cs, state.cache, inners=state.atom_inners, acc=acc)
         chosen = choose_direction(fwd, away, state.cache)
-        gamma = line_search(state.cache, chosen, cfg.ls_tol)
+        gamma = line_search(state.cache, chosen)
         apply_step(state, chosen, gamma)
         record.update(step=chosen.kind, gamma=gamma)
         state.history.append(record)

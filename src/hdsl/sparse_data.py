@@ -22,6 +22,12 @@ class ParseError(ValueError):
         self.line = line
 
 
+def _check_int64(value: int, what: str, line: int) -> None:
+    """Parsed integers land in int64 arrays; larger ones are a ParseError."""
+    if not -(2**63) <= value < 2**63:
+        raise ParseError(f"{what} {value} overflows int64", line)
+
+
 class SparseVector:
     """A sparse point of R^dim: strictly increasing indices, no stored zeros."""
 
@@ -175,6 +181,7 @@ def parse_libsvm(source: Union[str, io.TextIOBase], dim: Optional[int] = None) -
             raise ParseError(f"invalid label {parts[0]!r}", lineno) from None
         if not math.isfinite(label_f) or label_f != int(label_f):
             raise ParseError(f"non-integer label {parts[0]!r}", lineno)
+        _check_int64(int(label_f), "label", lineno)
         idxs = []
         vals = []
         prev = 0
@@ -193,6 +200,7 @@ def parse_libsvm(source: Union[str, io.TextIOBase], dim: Optional[int] = None) -
                 raise ParseError(f"feature index {idx} must be >= 1", lineno)
             if idx <= prev:
                 raise ParseError(f"non-increasing feature index {idx}", lineno)
+            _check_int64(idx, "feature index", lineno)
             prev = idx
             if val != 0.0:
                 idxs.append(idx - 1)
@@ -287,5 +295,7 @@ def read_triplets(source: Union[str, io.TextIOBase]) -> list:
             a, b, c = (int(p) for p in parts)
         except ValueError:
             raise ParseError("expected three integers", lineno) from None
+        for i in (a, b, c):
+            _check_int64(i, "index", lineno)
         out.append(TripletConstraint(a, b, c))
     return out

@@ -121,7 +121,7 @@ class TestCriterion3BookkeepingSoundness:
             fwd = forward_exact(acc, lam, 50, cs=cs)
             away = away_direction(state.model, cs, state.cache, inners=state.atom_inners, acc=acc)
             chosen = choose_direction(fwd, away, state.cache)
-            gamma = line_search(state.cache, chosen, 1e-6)
+            gamma = line_search(state.cache, chosen)
             apply_step(state, chosen, gamma)
             structural_checks(state.model, k + 1, state.n_features)
         recomputed = init_cache(cs, state.model)
@@ -182,7 +182,7 @@ class TestCriterion5StructuralInvariants:
             fwd = forward_exact(acc, lam, 50, cs=cs)
             away = away_direction(state.model, cs, state.cache, inners=state.atom_inners, acc=acc)
             chosen = choose_direction(fwd, away, state.cache)
-            gamma = line_search(state.cache, chosen, 1e-6)
+            gamma = line_search(state.cache, chosen)
             apply_step(state, chosen, gamma)
             structural_checks(state.model, k + 1, state.n_features)
         psd_floor = random_psd_probe(state.model, rng, n=100)

@@ -77,6 +77,28 @@ class TestTrain:
                     "--out", tmp_path / "m.hdsl"])
         assert code == 0
 
+    @pytest.mark.parametrize("line", ["1e20 1:1.0\n", "1 99999999999999999999999:0.5\n"])
+    def test_int64_overflow_in_data_exits_3(self, tmp_path, line, capsys):
+        data = tmp_path / "big.svm"
+        data.write_text("0 1:1.0\n" + line)
+        code = run(["train", "--data", data, "--lambda", 1, "--out", tmp_path / "m.hdsl"])
+        assert code == 3
+        assert "line 2" in capsys.readouterr().err
+
+    def test_int64_overflow_in_triplets_exits_3(self, tmp_path, labeled_file, capsys):
+        trip = tmp_path / "t.txt"
+        trip.write_text("0 1 12\n2 99999999999999999999999 13\n")
+        code = run(["train", "--data", labeled_file, "--constraints", "file",
+                    "--triplets", trip, "--lambda", 2, "--out", tmp_path / "m.hdsl"])
+        assert code == 3
+        assert "line 2" in capsys.readouterr().err
+
+    def test_eval_every_zero_exits_4(self, tmp_path, labeled_file, capsys):
+        code = run(["train", "--data", labeled_file, "--val-data", labeled_file,
+                    "--eval-every", 0, "--lambda", 5, "--iters", 5,
+                    "--out", tmp_path / "m.hdsl"])
+        assert code == 4
+
     def test_solver_precondition_exit_4(self, tmp_path, capsys):
         # single-class data cannot build random-label constraints
         data = tmp_path / "one.svm"

@@ -3,7 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from hdsl.model import NEG, POS, BasisId, Model
-from hdsl.objective import ConstraintSet, MarginCache, init_cache, objective
+from hdsl.objective import ConstraintSet, MarginCache, init_cache, objective, smoothed_hinge_deriv
 from hdsl.solver import (
     Direction,
     GradientAccumulators,
@@ -432,7 +432,7 @@ class TestLineSearch:
         # T=1, margin 0, b=2: phi(gamma) = loss(2*gamma), flat for gamma >= 0.5
         cache = MarginCache(np.array([0.0]))
         d = Direction("F", BasisId(0, 1, POS), 1.0, 0.0, np.array([0]), np.array([2.0]))
-        gamma = line_search(cache, d, eps=1e-6)
+        gamma = line_search(cache, d)
         assert 0.5 - 1e-5 <= gamma <= 1.0
         assert objective(MarginCache(np.array([2 * gamma]))) <= 1e-10
 
@@ -440,13 +440,13 @@ class TestLineSearch:
         cache = MarginCache(np.array([0.5]))
         # b below the margin: moving toward it increases the loss
         d = Direction("F", BasisId(0, 1, POS), 1.0, 0.0, np.array([0]), np.array([-1.0]))
-        assert line_search(cache, d, 1e-6) == 0.0
+        assert line_search(cache, d) == 0.0
 
     def test_descent_throughout_returns_gamma_max(self):
         cache = MarginCache(np.array([0.0]))
         d = Direction("F", BasisId(0, 1, POS), 1.0, 0.0, np.array([0]), np.array([0.5]))
         # phi'(1) = l'(0.5)*0.5 < 0, so the boundary is optimal
-        assert line_search(cache, d, 1e-6) == 1.0
+        assert line_search(cache, d) == 1.0
 
     def test_interior_root(self):
         rng = np.random.default_rng(51)
@@ -457,7 +457,7 @@ class TestLineSearch:
             vals = rng.normal(size=T) * 2
             d = Direction("F", BasisId(0, 1, POS), 1.0, 0.0, rows, vals)
             cache = MarginCache(margins.copy())
-            gamma = line_search(cache, d, 1e-8)
+            gamma = line_search(cache, d)
             # compare against a fine grid search of the 1-d objective
             grid = np.linspace(0, 1, 2001)
             vals_grid = [
@@ -466,6 +466,53 @@ class TestLineSearch:
             assert objective(
                 MarginCache((1 - gamma) * margins + gamma * vals)
             ) <= min(vals_grid) + 1e-6
+
+    @staticmethod
+    def phi(m, u, gamma):
+        return objective(MarginCache(m + gamma * u))
+
+    def test_step_far_below_one_millionth(self):
+        # the minimiser (1-m).u/|u|^2 is 2.5e-8; a search that stops at a
+        # bracket of 1e-6 cannot see it and takes a null step
+        m = np.array([0.5, 0.5])
+        u = np.array([100.0, -100.0 + 1e-3])
+        d = Direction("F", BasisId(0, 1, POS), 1.0, 0.0, np.arange(2), m + u)
+        gamma = line_search(MarginCache(m.copy()), d)
+        want = float((1.0 - m) @ u / (u @ u))
+        assert abs(gamma - want) <= 4 * np.spacing(want)
+        assert self.phi(m, u, gamma) < self.phi(m, u, 0.0)
+
+    @pytest.mark.parametrize("kind", ["F", "A"])
+    def test_minimiser_property(self, kind):
+        rng = np.random.default_rng(52 if kind == "F" else 53)
+        eps = np.finfo(float).eps
+        for _ in range(300):
+            T = int(rng.integers(1, 60))
+            m = rng.normal(0.5, 1.0, size=T)
+            b = m + rng.normal(size=T) * 10.0 ** rng.uniform(-4, 4)
+            still = rng.random(T) < 0.2  # rows the step does not move
+            b[still] = m[still]
+            gmax = float(rng.choice([1.0, rng.uniform(1e-6, 1.0)]))
+            d = Direction(kind, BasisId(0, 1, POS), gmax, 0.0, np.arange(T), b)
+            gamma = line_search(MarginCache(m.copy()), d)
+            u = b - m if kind == "F" else m - b
+            assert 0.0 <= gamma <= gmax
+            assert self.phi(m, u, gamma) <= self.phi(m, u, 0.0)
+            if gamma not in (0.0, gmax):
+                # phi'(gamma) = 0 up to the rounding of each term
+                dphi = smoothed_hinge_deriv(m + gamma * u) @ u
+                scale = np.abs(u) @ (1.0 + np.abs(m) + gamma * np.abs(u))
+                assert abs(dphi) <= 64 * eps * scale
+
+    def test_train_reaches_tight_gap(self):
+        # the instance of acceptance criterion 4: every step before the
+        # converged row moves, and the run stops on the gap
+        rng = np.random.default_rng(42)
+        cs = random_instance(rng, dim=50, T=200, n_points=40)
+        _, hist = train(cs, SolverConfig(lam=10.0, max_iters=5000, gap_tol=1e-9))
+        assert len(hist) < 5000
+        assert hist[-1]["gap"] <= 1e-9
+        assert all(h["gamma"] > 0.0 for h in hist[:-1])
 
 
 class TestApplyStep:
@@ -615,11 +662,15 @@ class TestTrain:
         assert h1 == h2
         assert m1.atoms == m2.atoms
 
-    @pytest.mark.parametrize("field", ["lam", "ls_tol", "gap_tol"])
+    @pytest.mark.parametrize("field", ["lam", "gap_tol"])
     def test_non_finite_config_rejected(self, field):
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValueError, match=field):
                 SolverConfig(**{"lam": 1.0, field: bad})
+
+    def test_eval_every_below_one_rejected(self):
+        with pytest.raises(ValueError, match="eval_every"):
+            SolverConfig(lam=1.0, eval_every=0)
 
     def test_empty_constraints_rejected(self):
         ds = Dataset([sv([(0, 1.0)], 4), sv([(1, 1.0)], 4)])

@@ -125,6 +125,13 @@ class TestParseLibsvm:
             parse_libsvm("1 2:0.5\n1 nonsense\n")
         assert exc.value.line == 2
 
+    @pytest.mark.parametrize("line", ["1e20 1:1\n", "-1e20 1:1\n",
+                                      "1 99999999999999999999999:0.5\n"])
+    def test_int64_overflow_rejected(self, line):
+        with pytest.raises(ParseError, match="overflows int64") as exc:
+            parse_libsvm("1 1:0.5\n" + line)
+        assert exc.value.line == 2
+
     def test_comments_and_blanks(self):
         ds = parse_libsvm("# header\n\n1 1:1.0  # trailing\n")
         assert len(ds) == 1
@@ -192,3 +199,8 @@ class TestTriplets:
     def test_file_round_trip(self):
         ts = [TripletConstraint(0, 1, 2), TripletConstraint(3, 2, 0)]
         assert read_triplets(write_triplets(ts)) == ts
+
+    def test_int64_overflow_rejected(self):
+        with pytest.raises(ParseError, match="overflows int64") as exc:
+            read_triplets("0 1 2\n0 99999999999999999999999 1\n")
+        assert exc.value.line == 2
