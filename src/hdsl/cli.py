@@ -107,6 +107,9 @@ def _build_constraints(args, ds: Dataset) -> ConstraintSet:
         raise CliError(f"{args.triplets}: {exc}", EXIT_IO) from exc
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PRECONDITION) from exc
+    except MemoryError as exc:  # e.g. a huge feature index sets the dimension
+        msg = f"out of memory building constraints (d = {ds.dim}): {exc}"
+        raise CliError(msg, EXIT_PRECONDITION) from exc
 
 
 def cmd_train(args) -> int:

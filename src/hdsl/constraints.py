@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .model import Model, to_csr_matrix
 from .objective import ConstraintSet
@@ -15,10 +16,35 @@ from .sparse_data import Dataset, SparseVector
 logger = logging.getLogger(__name__)
 
 
-def _ranked_by_similarity(scores: np.ndarray, descending: bool) -> np.ndarray:
-    """Indices ordered by score; ties broken toward the lower index."""
-    key = -scores if descending else scores
-    return np.lexsort((np.arange(scores.size), key))
+RANK_BLOCK = 256  # anchors per product and sort: about 2n KB per block array
+
+
+def similarity_blocks(X: sp.csr_matrix, M: Optional[sp.csr_matrix] = None):
+    """Callback from a block of row indices to the dense (block x n)
+    similarities x_a^T M x_t (M = identity when None): one sparse product
+    per block, each row bit-identical to its single-row product."""
+    left = X if M is None else (X @ M).tocsr()
+    XT = X.T.tocsr()
+    return lambda block: (left[block] @ XT).toarray()
+
+
+def ranked_blocks(
+    sims_of: Callable[[np.ndarray], np.ndarray], anchors: np.ndarray
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """Rank every other point for each anchor, RANK_BLOCK anchors at a time.
+
+    Yields (block, order): order[r] holds the n - 1 points other than
+    block[r], most similar first, ties to the lower index (a stable sort of
+    the negated similarities). One sims_of call and one block x n sort per
+    block; nothing is kept between blocks. Similarities must not be NaN.
+    """
+    for lo in range(0, anchors.size, RANK_BLOCK):
+        block = anchors[lo : lo + RANK_BLOCK]
+        neg = -np.asarray(sims_of(block), dtype=np.float64)
+        if np.isnan(neg).any():
+            raise ValueError("similarities must not be NaN")
+        neg[np.arange(block.size), block] = np.nan  # NaN sorts last: drop the anchor
+        yield block, np.argsort(neg, axis=1, kind="stable")[:, :-1]
 
 
 def neighbors_triplets(
@@ -31,31 +57,31 @@ def neighbors_triplets(
 
     Target neighbors are the n_targets most similar same-label points,
     impostors the n_impostors most similar different-label points, under
-    the base similarity (default: dot product). Instances without enough
-    candidates on either side are skipped with a logged warning count.
+    the base similarity (default: dot product); ties go to the lower index.
+    Instances without enough candidates on either side are skipped with a
+    logged warning count. All n points are ranked RANK_BLOCK at a time, one
+    X[block] X^T product and block x n sort each: O(nnz of the products +
+    n^2 log n) time and O(RANK_BLOCK n) memory. A `sim` callback replaces
+    the product and is called n^2 times.
     """
     if ds.labels is None:
         raise ValueError("labeled dataset required")
     n = len(ds)
-    X = ds.to_csr()
     labels = ds.labels
+    if sim is None:
+        sims_of = similarity_blocks(ds.to_csr())
+    else:
+        def sims_of(block):
+            return np.array([[sim(ds[a], ds[t]) for t in range(n)] for a in block.tolist()])
     triplets: List[Tuple[int, int, int]] = []
     skipped = 0
-    for a in range(n):
-        if sim is None:
-            scores = np.asarray((X @ X[a].T).todense()).ravel()
-        else:
-            scores = np.array([sim(ds[a], ds[t]) for t in range(n)])
-        order = _ranked_by_similarity(scores, descending=True)
-        order = order[order != a]
-        same = order[labels[order] == labels[a]][:n_targets]
-        impostors = order[labels[order] != labels[a]][:n_impostors]
-        if same.size < n_targets or impostors.size < n_impostors:
-            skipped += 1
-            continue
-        for b in same:
-            for c in impostors:
-                triplets.append((a, int(b), int(c)))
+    for block, order in ranked_blocks(sims_of, np.arange(n)):
+        for a, row, same in zip(block.tolist(), order, labels[order] == labels[block, None]):
+            targets, impostors = row[same][:n_targets], row[~same][:n_impostors]
+            if targets.size < n_targets or impostors.size < n_impostors:
+                skipped += 1
+                continue
+            triplets.extend((a, int(b), int(c)) for b in targets for c in impostors)
     if skipped:
         logger.warning("neighbors_triplets: skipped %d instances with too few candidates", skipped)
     return ConstraintSet(ds, np.array(triplets, dtype=np.int64).reshape(-1, 3))
@@ -92,17 +118,6 @@ def random_label_triplets(
     return ConstraintSet(ds, np.array(triplets, dtype=np.int64).reshape(-1, 3))
 
 
-def _truth_similarity_rows(samples: Dataset, truth: Model):
-    X = samples.to_csr()
-    XM = (X @ to_csr_matrix(truth)).tocsr()
-    XT = X.T.tocsr()
-
-    def row(a: int) -> np.ndarray:
-        return np.asarray((XM[a] @ XT).todense()).ravel()
-
-    return row
-
-
 def truth_triplets(
     samples: Dataset,
     truth: Model,
@@ -112,6 +127,14 @@ def truth_triplets(
 ) -> ConstraintSet:
     """Random anchors; b from the top alpha-fraction most similar others
     under the ground-truth model, c from the bottom alpha-fraction.
+
+    Both pools come from one ranking per anchor (ties to the lower index),
+    so they stay disjoint under ties. The unique anchors are ranked
+    RANK_BLOCK at a time, one (X M)[block] X^T product and block x n sort
+    each: O(nnz products + u n log n) time for u unique anchors, with
+    O(RANK_BLOCK n) memory and no pools kept. The draws are the anchors,
+    then one rank in each pool per triplet, so the output and the
+    generator state equal those of drawing per triplet from stored pools.
     """
     if not 0.0 < alpha < 0.5:
         raise ValueError("alpha must be in (0, 0.5)")
@@ -122,21 +145,20 @@ def truth_triplets(
     t_size = math.ceil(alpha * (n - 1))
     if 2 * t_size > n - 1:
         raise ValueError(f"n={n} too small for alpha={alpha}")
-    sim_row = _truth_similarity_rows(samples, truth)
+    sims_of = similarity_blocks(samples.to_csr(), to_csr_matrix(truth))
 
     anchors = rng.integers(0, n, size=count)
-    pools: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    # positions in the anchor's ranking: the top pool is its first t_size,
+    # the bottom pool its last t_size
+    picks = rng.integers(0, t_size, size=(count, 2))
+    picks[:, 1] += n - 1 - t_size
+    uniq, inv = np.unique(anchors, return_inverse=True)
+    block_of = inv // RANK_BLOCK
     triplets = np.empty((count, 3), dtype=np.int64)
     triplets[:, 0] = anchors
-    for a in np.unique(anchors):
-        # head and tail of one ranking: the pools stay disjoint under ties
-        order = _ranked_by_similarity(sim_row(int(a)), descending=True)
-        order = order[order != a]
-        pools[int(a)] = (order[:t_size], order[-t_size:])
-    for t, a in enumerate(anchors):
-        top, bottom = pools[int(a)]
-        triplets[t, 1] = rng.choice(top)
-        triplets[t, 2] = rng.choice(bottom)
+    for k, (_, order) in enumerate(ranked_blocks(sims_of, uniq)):
+        rows = np.flatnonzero(block_of == k)
+        triplets[rows, 1:] = order[inv[rows, None] - k * RANK_BLOCK, picks[rows]]
     return ConstraintSet(samples, triplets)
 
 

@@ -185,20 +185,34 @@ def _pair_weights(g: np.ndarray) -> np.ndarray:
 
 
 class MarginCache:
-    """Cached per-constraint margins m_t = <A^t, M>, updated in O(T) per step."""
+    """Cached per-constraint margins m_t = <A^t, M>, updated in O(T) per step.
+
+    derivs() is computed once per update: assigning `margins` (`*=` too)
+    drops it, so index writes go to a local array that is assigned back.
+    """
 
     def __init__(self, margins: np.ndarray):
-        self.margins = np.asarray(margins, dtype=np.float64)
+        self.margins = margins
+
+    @property
+    def margins(self) -> np.ndarray:
+        return self._margins
+
+    @margins.setter
+    def margins(self, value: np.ndarray) -> None:
+        self._margins = np.asarray(value, dtype=np.float64)
+        self._derivs = None
 
     @property
     def count(self) -> int:
-        return self.margins.size
+        return self._margins.size
 
     def derivs(self) -> np.ndarray:
-        return smoothed_hinge_deriv(self.margins)
-
-    def copy(self) -> "MarginCache":
-        return MarginCache(self.margins.copy())
+        """l'(m_t) for every constraint, as a read-only array."""
+        if self._derivs is None:
+            self._derivs = smoothed_hinge_deriv(self._margins)
+            self._derivs.flags.writeable = False
+        return self._derivs
 
 
 def init_cache(cs: ConstraintSet, m: Model) -> MarginCache:
@@ -237,16 +251,18 @@ def update_cache(cache: MarginCache, kind: str, gamma: float, basis_inners) -> N
 
 def update_cache_sparse(cache: MarginCache, kind: str, gamma: float, rows: np.ndarray, vals: np.ndarray) -> None:
     """Same as update_cache with the basis inners given in sparse form."""
+    m = cache.margins
     if kind == "F":
-        cache.margins *= 1.0 - gamma
+        m *= 1.0 - gamma
         if rows.size:
-            cache.margins[rows] += gamma * vals
+            m[rows] += gamma * vals
     elif kind == "A":
-        cache.margins *= 1.0 + gamma
+        m *= 1.0 + gamma
         if rows.size:
-            cache.margins[rows] -= gamma * vals
+            m[rows] -= gamma * vals
     else:
         raise ValueError(f"unknown step kind {kind!r}")
+    cache.margins = m
 
 
 def grad_inner_with_model(cache: MarginCache) -> float:

@@ -7,6 +7,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from .constraints import ranked_blocks, similarity_blocks
 from .model import NEG, POS, BasisId, Model, to_csr_matrix
 from .sparse_data import Dataset, SparseVector
 
@@ -175,22 +176,21 @@ def gen_links(
     rng = rng or np.random.default_rng()
     n = len(samples)
     t = math.ceil(top_frac * (n - 1))
-    X = samples.to_csr()
-    sims = np.asarray((X @ to_csr_matrix(truth) @ X.T).todense())
+    sims_of = similarity_blocks(samples.to_csr(), to_csr_matrix(truth))
 
-    pos_pairs: set = set()
-    neg_pairs: set = set()
-    for a in range(n):
-        scores = sims[a]
-        desc = np.lexsort((np.arange(n), -scores))
-        asc = np.lexsort((np.arange(n), scores))
-        for b in desc[desc != a][:t]:
-            pos_pairs.add((min(a, int(b)), max(a, int(b))))
-        for b in asc[asc != a][:t]:
-            neg_pairs.add((min(a, int(b)), max(a, int(b))))
-    conflicts = pos_pairs & neg_pairs
-    pos_pairs -= conflicts
-    neg_pairs -= conflicts
+    def pairs(rank_of):
+        # keys a*n + b (a < b) of each point's t best-ranked partners
+        keys = [np.zeros(0, dtype=np.int64)]
+        for block, order in ranked_blocks(rank_of, np.arange(n)):
+            a, b = block[:, None], order[:, :t]
+            keys.append((np.minimum(a, b) * n + np.maximum(a, b)).ravel())
+        return np.unique(np.concatenate(keys))
+
+    # ties go to the lower index in both rankings
+    pos_keys = pairs(sims_of)
+    neg_keys = pairs(lambda block: -sims_of(block))
+    pos_pairs = np.setdiff1d(pos_keys, neg_keys, assume_unique=True)
+    neg_pairs = np.setdiff1d(neg_keys, pos_keys, assume_unique=True)
 
     n_pos = n_links // 2
     n_neg = n_links - n_pos
@@ -199,12 +199,10 @@ def gen_links(
             f"not enough candidate links: {len(pos_pairs)} positive / "
             f"{len(neg_pairs)} negative available"
         )
-    pos_sorted = sorted(pos_pairs)
-    neg_sorted = sorted(neg_pairs)
     links = [
-        (*pos_sorted[i], 1) for i in rng.choice(len(pos_sorted), size=n_pos, replace=False)
-    ] + [
-        (*neg_sorted[i], -1) for i in rng.choice(len(neg_sorted), size=n_neg, replace=False)
+        (*divmod(key, n), y)
+        for keys, size, y in ((pos_pairs, n_pos, 1), (neg_pairs, n_neg, -1))
+        for key in keys[rng.choice(keys.size, size=size, replace=False)].tolist()
     ]
     order = rng.permutation(len(links))
     return [links[i] for i in order]

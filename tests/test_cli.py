@@ -93,6 +93,19 @@ class TestTrain:
         assert code == 3
         assert "line 2" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("constraints", ["random-label", "neighbors"])
+    def test_huge_inferred_dimension_exits_4(self, tmp_path, constraints, capsys):
+        # feature index 2**50 makes d = 2**50 + 1: any per-feature array
+        # needs petabytes, so its allocation fails at once on any host
+        data = tmp_path / "huge.svm"
+        data.write_text("0 1:1.0 2:0.5\n1 1125899906842624:1\n0 3:1\n1 2:1 4:1\n")
+        code = run(["train", "--data", data, "--constraints", constraints,
+                    "--n-targets", 1, "--n-impostors", 1, "--lambda", 1,
+                    "--out", tmp_path / "m.hdsl"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
+
     def test_eval_every_zero_exits_4(self, tmp_path, labeled_file, capsys):
         code = run(["train", "--data", labeled_file, "--val-data", labeled_file,
                     "--eval-every", 0, "--lambda", 5, "--iters", 5,

@@ -2,15 +2,23 @@ import numpy as np
 import pytest
 
 from hdsl.constraints import (
+    RANK_BLOCK,
     link_triplets,
     neighbors_triplets,
     random_label_triplets,
     truth_triplets,
 )
-from hdsl.model import POS, BasisId, Model
+from hdsl.model import NEG, POS, BasisId, Model
 from hdsl.sparse_data import Dataset, SparseVector
+from hdsl.synthetic import gen_links
 
-from util import dense_model_matrix, random_sparse_dataset
+from util import (
+    dense_model_matrix,
+    random_sparse_dataset,
+    reference_gen_links,
+    reference_neighbors_triplets,
+    reference_truth_triplets,
+)
 
 
 def sv(pairs, dim):
@@ -178,3 +186,77 @@ class TestLinkTriplets:
         t1 = link_triplets(ds, links, np.random.default_rng(5), per_link=2).triplets
         t2 = link_triplets(ds, links, np.random.default_rng(5), per_link=2).triplets
         np.testing.assert_array_equal(t1, t2)
+
+
+def tied_dataset(rng, n, dim=12, labels=3):
+    """Few features per point, so most similarities are exactly zero, and
+    every fifth point duplicated, so nonzero similarities tie too."""
+    base = random_sparse_dataset(rng, n - n // 5, dim, max_nnz=2)
+    pts = [base[i] for i in range(len(base))]
+    pts += pts[: n // 5]
+    return Dataset(pts, rng.integers(0, labels, size=n), dim=dim)
+
+
+class TestBlockBuildersMatchReference:
+    """The block kernels against per-anchor references built one anchor,
+    one product and one sort at a time."""
+
+    def truth(self, dim):
+        return Model(1.0, dim, {BasisId(0, 1, POS): 0.4, BasisId(2, 5, NEG): 0.35,
+                                BasisId(3, 7, POS): 0.25})
+
+    @pytest.mark.parametrize("n,count", [(40, 400), (2 * RANK_BLOCK + 90, 4000)])
+    def test_truth_triplets(self, n, count):
+        ds = tied_dataset(np.random.default_rng(n), n)
+        truth = self.truth(ds.dim)
+        got_rng, ref_rng = np.random.default_rng(21), np.random.default_rng(21)
+        got = truth_triplets(ds, truth, 0.2, count, got_rng).triplets
+        want = reference_truth_triplets(ds, truth, 0.2, count, ref_rng)
+        assert np.unique(got[:, 0]).size < count  # repeated anchors
+        if n > RANK_BLOCK:
+            assert np.unique(got[:, 0]).size > 2 * RANK_BLOCK  # three blocks
+        np.testing.assert_array_equal(got, want)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("n", [30, RANK_BLOCK + 40])
+    def test_neighbors_triplets(self, n):
+        ds = tied_dataset(np.random.default_rng(n + 1), n)
+        got = neighbors_triplets(ds, n_targets=2, n_impostors=3).triplets
+        want = reference_neighbors_triplets(ds, n_targets=2, n_impostors=3)
+        assert len(want) > 0
+        np.testing.assert_array_equal(got, want)
+
+    def test_neighbors_triplets_skips_like_reference(self):
+        # a singleton class: its anchor has too few same-label candidates
+        ds = tied_dataset(np.random.default_rng(5), 25, labels=2)
+        labels = ds.labels.copy()
+        labels[7] = 9
+        ds = Dataset([ds[i] for i in range(len(ds))], labels, dim=ds.dim)
+        got = neighbors_triplets(ds, n_targets=4, n_impostors=2).triplets
+        np.testing.assert_array_equal(got, reference_neighbors_triplets(ds, 4, 2))
+        assert 7 not in got[:, 0]
+
+    def test_neighbors_triplets_sim_callback(self):
+        ds = tied_dataset(np.random.default_rng(3), RANK_BLOCK + 10)
+
+        def sim(x, y):  # coarse, so most pairs tie
+            return -float(abs(x.indices.size - y.indices.size))
+
+        got = neighbors_triplets(ds, n_targets=2, n_impostors=2, sim=sim).triplets
+        np.testing.assert_array_equal(got, reference_neighbors_triplets(ds, 2, 2, sim=sim))
+
+    def test_nan_similarity_rejected(self):
+        ds = tied_dataset(np.random.default_rng(4), 12)
+        with pytest.raises(ValueError, match="NaN"):
+            neighbors_triplets(ds, sim=lambda x, y: float("nan"))
+
+    @pytest.mark.parametrize("n", [60, RANK_BLOCK + 60])
+    def test_gen_links(self, n):
+        ds = tied_dataset(np.random.default_rng(n + 2), n)
+        truth = self.truth(ds.dim)
+        got_rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+        got = gen_links(ds, truth, n_links=40, top_frac=0.1, rng=got_rng)
+        want = reference_gen_links(ds, truth, 40, 0.1, ref_rng)
+        assert got == want
+        assert all(type(v) is int for link in got for v in link)
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state

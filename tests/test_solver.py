@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -700,6 +702,24 @@ class TestTrain:
         drifts = {h["k"]: h["drift"] for h in history if "drift" in h}
         assert sorted(drifts) == [10, 20, 30]
         assert all(0.0 <= v <= 1e-10 for v in drifts.values())
+
+    @pytest.mark.parametrize("oracle", ["exact", "heuristic"])
+    def test_loss_derivatives_once_per_margin_update(self, monkeypatch, oracle):
+        # the package's `objective` attribute is the function, not the module
+        objective_mod = importlib.import_module("hdsl.objective")
+        calls = []
+        deriv = objective_mod.smoothed_hinge_deriv
+
+        def counted(m):
+            calls.append(1)
+            return deriv(m)
+
+        monkeypatch.setattr(objective_mod, "smoothed_hinge_deriv", counted)
+        cs = random_instance(np.random.default_rng(87), 15, T=40)
+        cfg = SolverConfig(lam=2.0, max_iters=1000, gap_tol=0.0, oracle=oracle, batch_size=20)
+        _, history = train(cs, cfg)
+        # one per iteration, plus one for the initial forward call
+        assert len(calls) <= len(history) + 1
 
     def test_drift_over_bound_raises(self, monkeypatch):
         import hdsl.solver as solver_mod

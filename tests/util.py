@@ -5,9 +5,11 @@ through the solver's sparse accumulators, so it can serve as an independent
 check of those paths.
 """
 
+import math
+
 import numpy as np
 
-from hdsl.model import NEG, POS, BasisId, Model
+from hdsl.model import NEG, POS, BasisId, Model, to_csr_matrix
 from hdsl.objective import ConstraintSet, smoothed_hinge_deriv
 from hdsl.sparse_data import Dataset, SparseVector
 
@@ -106,3 +108,71 @@ def brute_force_forward(grad: np.ndarray, lam: float):
                     best_key = key
                     best_basis = BasisId(i, j, sign)
     return best_basis, best_key[0]
+
+
+def _ranked(scores, a):
+    """Every point but a, most similar first, ties to the lower index."""
+    order = np.lexsort((np.arange(scores.size), -scores))
+    return order[order != a]
+
+
+def reference_neighbors_triplets(ds, n_targets=3, n_impostors=5, sim=None):
+    """Per-anchor neighbors_triplets: one X x_a product (or n sim calls) and
+    one full sort per point."""
+    X = ds.to_csr()
+    labels = ds.labels
+    triplets = []
+    for a in range(len(ds)):
+        if sim is None:
+            scores = np.asarray((X @ X[a].T).todense()).ravel()
+        else:
+            scores = np.array([sim(ds[a], ds[t]) for t in range(len(ds))])
+        order = _ranked(scores, a)
+        same = order[labels[order] == labels[a]][:n_targets]
+        impostors = order[labels[order] != labels[a]][:n_impostors]
+        if same.size == n_targets and impostors.size == n_impostors:
+            triplets.extend((a, int(b), int(c)) for b in same for c in impostors)
+    return np.array(triplets, dtype=np.int64).reshape(-1, 3)
+
+
+def reference_truth_triplets(samples, truth, alpha, count, rng):
+    """Per-anchor truth_triplets: a stored (top, bottom) pool pair per unique
+    anchor, then one rng.choice from each pool per triplet."""
+    n = len(samples)
+    t_size = math.ceil(alpha * (n - 1))
+    X = samples.to_csr()
+    XM = (X @ to_csr_matrix(truth)).tocsr()
+    XT = X.T.tocsr()
+    anchors = rng.integers(0, n, size=count)
+    pools = {}
+    for a in np.unique(anchors):
+        order = _ranked(np.asarray((XM[a] @ XT).todense()).ravel(), a)
+        pools[int(a)] = (order[:t_size], order[-t_size:])
+    triplets = np.empty((count, 3), dtype=np.int64)
+    triplets[:, 0] = anchors
+    for t, a in enumerate(anchors):
+        top, bottom = pools[int(a)]
+        triplets[t, 1] = rng.choice(top)
+        triplets[t, 2] = rng.choice(bottom)
+    return triplets
+
+
+def reference_gen_links(samples, truth, n_links, top_frac, rng):
+    """gen_links from the dense n x n similarity matrix, two sorts per row."""
+    n = len(samples)
+    t = math.ceil(top_frac * (n - 1))
+    X = samples.to_csr()
+    sims = np.asarray((X @ to_csr_matrix(truth) @ X.T).todense())
+    pos_pairs, neg_pairs = set(), set()
+    for a in range(n):
+        for table, scores in ((pos_pairs, sims[a]), (neg_pairs, -sims[a])):
+            for b in _ranked(scores, a)[:t]:
+                table.add((min(a, int(b)), max(a, int(b))))
+    conflicts = pos_pairs & neg_pairs
+    pos_sorted, neg_sorted = sorted(pos_pairs - conflicts), sorted(neg_pairs - conflicts)
+    n_pos = n_links // 2
+    links = [(*pos_sorted[i], 1) for i in rng.choice(len(pos_sorted), size=n_pos, replace=False)]
+    links += [
+        (*neg_sorted[i], -1) for i in rng.choice(len(neg_sorted), size=n_links - n_pos, replace=False)
+    ]
+    return [links[i] for i in rng.permutation(len(links))]
