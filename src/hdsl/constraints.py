@@ -34,17 +34,14 @@ def ranked_blocks(
     """Rank every other point for each anchor, RANK_BLOCK anchors at a time.
 
     Yields (block, order): order[r] holds the n - 1 points other than
-    block[r], most similar first, ties to the lower index (a stable sort of
-    the negated similarities). One sims_of call and one block x n sort per
-    block; nothing is kept between blocks. Similarities must not be NaN.
+    block[r], most similar first, ties to the lower index and NaN last (a
+    stable sort of the negated similarities). One sims_of call and one
+    block x n sort per block; nothing is kept between blocks.
     """
     for lo in range(0, anchors.size, RANK_BLOCK):
         block = anchors[lo : lo + RANK_BLOCK]
-        neg = -np.asarray(sims_of(block), dtype=np.float64)
-        if np.isnan(neg).any():
-            raise ValueError("similarities must not be NaN")
-        neg[np.arange(block.size), block] = np.nan  # NaN sorts last: drop the anchor
-        yield block, np.argsort(neg, axis=1, kind="stable")[:, :-1]
+        order = np.argsort(-np.asarray(sims_of(block), dtype=np.float64), axis=1, kind="stable")
+        yield block, order[order != block[:, None]].reshape(block.size, -1)
 
 
 def neighbors_triplets(
@@ -76,7 +73,8 @@ def neighbors_triplets(
     triplets: List[Tuple[int, int, int]] = []
     skipped = 0
     for block, order in ranked_blocks(sims_of, np.arange(n)):
-        for a, row, same in zip(block.tolist(), order, labels[order] == labels[block, None]):
+        for a, row in zip(block.tolist(), order):
+            same = labels[row] == labels[a]
             targets, impostors = row[same][:n_targets], row[~same][:n_impostors]
             if targets.size < n_targets or impostors.size < n_impostors:
                 skipped += 1

@@ -197,15 +197,6 @@ def forward_minibatch(
     return forward_exact(acc, lam, cs.dim, cs=cs)
 
 
-def _csr_rows(A, rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Column indices and values of CSR rows `rows`, concatenated in that
-    order, plus each row's length: numpy gathers over indptr."""
-    starts = A.indptr[rows]
-    lens = A.indptr[rows + 1] - starts
-    pos = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
-    return A.indices[pos], A.data[pos], lens
-
-
 def _partner_scores(
     cs: ConstraintSet,
     tri: np.ndarray,
@@ -229,11 +220,7 @@ def _partner_scores(
         np.concatenate((a, b, c)), weights=np.concatenate((di, xi, -xi)), minlength=col.size
     )
     nz = np.flatnonzero(v)
-    if isinstance(cs.P, np.ndarray):
-        h = cs.P[nz].T @ v[nz] / count
-    else:
-        cols, vals, lens = _csr_rows(cs.P, nz)
-        h = np.bincount(cols, weights=vals * np.repeat(v[nz], lens), minlength=cs.dim) / count
+    h = cs.P[nz].T @ v[nz] / count
     scores = lam * (diag[i] + diag - np.abs(h))
     scores[i] = np.inf
     signs = np.where(h > 0, NEG, POS)
@@ -266,8 +253,11 @@ def forward_heuristic(
     active = subset[g[subset] != 0.0]
     tri, g_active = cs.local[active], g[active]
 
-    cols, vals, lens = _csr_rows(cs.XD, active)
-    diag = np.bincount(cols, weights=vals * np.repeat(g_active, lens), minlength=cs.dim) / count
+    diag = np.zeros(cs.dim)
+    if active.size:
+        xd = cs.XD[active]
+        w = np.repeat(g_active, np.diff(xd.indptr))
+        diag = np.bincount(xd.indices, weights=xd.data * w, minlength=cs.dim) / count
 
     i0 = int(rng.integers(dim))
     scores1, signs1 = _partner_scores(cs, tri, g_active, count, lam, i0, diag)

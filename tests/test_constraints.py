@@ -245,10 +245,15 @@ class TestBlockBuildersMatchReference:
         got = neighbors_triplets(ds, n_targets=2, n_impostors=2, sim=sim).triplets
         np.testing.assert_array_equal(got, reference_neighbors_triplets(ds, 2, 2, sim=sim))
 
-    def test_nan_similarity_rejected(self):
-        ds = tied_dataset(np.random.default_rng(4), 12)
-        with pytest.raises(ValueError, match="NaN"):
-            neighbors_triplets(ds, sim=lambda x, y: float("nan"))
+    @pytest.mark.parametrize("sim", [
+        lambda x, y: float("nan"),
+        # NaN between two-feature points, a point and itself too
+        lambda x, y: float("nan") if x.indices.size + y.indices.size == 4 else 1.0,
+    ], ids=["all", "some"])
+    def test_nan_similarity_ranks_last(self, sim):
+        ds = tied_dataset(np.random.default_rng(4), RANK_BLOCK + 10)
+        got = neighbors_triplets(ds, n_targets=2, n_impostors=2, sim=sim).triplets
+        np.testing.assert_array_equal(got, reference_neighbors_triplets(ds, 2, 2, sim=sim))
 
     @pytest.mark.parametrize("n", [60, RANK_BLOCK + 60])
     def test_gen_links(self, n):
