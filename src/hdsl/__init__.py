@@ -43,7 +43,6 @@ from .objective import (
     objective,
     smoothed_hinge,
     smoothed_hinge_deriv,
-    update_cache,
     update_cache_sparse,
 )
 from .solver import (

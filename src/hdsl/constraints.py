@@ -64,15 +64,22 @@ def neighbors_triplets(
     if ds.labels is None:
         raise ValueError("labeled dataset required")
     n = len(ds)
-    labels = ds.labels
     if sim is None:
         sims_of = similarity_blocks(ds.to_csr())
     else:
         def sims_of(block):
             return np.array([[sim(ds[a], ds[t]) for t in range(n)] for a in block.tolist()])
+    return ConstraintSet(ds, _neighbor_triplets(sims_of, ds.labels, n_targets, n_impostors))
+
+
+def _neighbor_triplets(
+    sims_of: Callable[[np.ndarray], np.ndarray], labels: np.ndarray, n_targets: int, n_impostors: int
+) -> np.ndarray:
+    """neighbors_triplets' ranking pass, as a T x 3 array; neither a block
+    ranking nor the tuple list outlives it."""
     triplets: List[Tuple[int, int, int]] = []
     skipped = 0
-    for block, order in ranked_blocks(sims_of, np.arange(n)):
+    for block, order in ranked_blocks(sims_of, np.arange(labels.size)):
         for a, row in zip(block.tolist(), order):
             same = labels[row] == labels[a]
             targets, impostors = row[same][:n_targets], row[~same][:n_impostors]
@@ -82,7 +89,7 @@ def neighbors_triplets(
             triplets.extend((a, int(b), int(c)) for b in targets for c in impostors)
     if skipped:
         logger.warning("neighbors_triplets: skipped %d instances with too few candidates", skipped)
-    return ConstraintSet(ds, np.array(triplets, dtype=np.int64).reshape(-1, 3))
+    return np.array(triplets, dtype=np.int64).reshape(-1, 3)
 
 
 def random_label_triplets(

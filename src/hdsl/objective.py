@@ -79,7 +79,7 @@ class ConstraintSet:
 
         # P is dense when d and n_used*d are small, where a BLAS product beats
         # sparse bookkeeping by a wide margin, and CSR otherwise; P^T is kept
-        # as CSR too, since a CSC left operand makes scipy convert S P.
+        # as CSR too, so a feature column is one row slice of it.
         used, local = np.unique(arr.ravel(), return_inverse=True)
         P = base[used]
         if self.dim <= self.DENSE_DIM_LIMIT and used.size * self.dim <= self.DENSE_CELL_LIMIT:
@@ -106,35 +106,39 @@ class ConstraintSet:
     def pair_statistic(self, g: np.ndarray, subset: Optional[np.ndarray] = None):
         """sum_t g_t (x_t d_t^T + d_t x_t^T) over all constraints or a subset.
 
-        When the triplets reuse points (n_used < T), this is P^T S P with P
-        the n_used referenced points and S = W + W^T, where W[a,b] += g_t
-        and W[a,c] -= g_t: O(T) to fill S, O(nnz(S) s) for S P and
-        O(n_used s^2) (sparse) or O(n_used d^2) (dense) for the rest. The
-        full set builds S's CSR pattern on its first call and refills it
-        after that; a subset builds S and P over its own points, so its
-        cost follows the subset. Without reuse the T outer products are
-        cheaper, and the active (g_t != 0) ones are summed directly.
+        This is C + C^T with C = P_u^T (W P): P holds the n_used referenced
+        points, P_u the distinct anchors' rows of it, and W (anchors x
+        n_used) has W[a,b] += g_t and W[a,c] -= g_t. Cost: O(T) to fill W,
+        O(nnz(W) s) for W P and O(|u| s^2) (sparse P) or O(|u| d^2) (dense
+        P) for the product with P_u^T. Without point reuse that is the work
+        of the T outer products; with reuse, half that of P^T (W + W^T) P.
+        The full set builds W's pattern and P_u^T on its first call and
+        refills W after that; a subset builds them over its active
+        (g_t != 0) triplets, so its cost follows those.
         """
-        local, P, PT = self.local, self.P, self.PT
-        n_ref = P.shape[0]
-        if subset is not None:
-            local, g = local[subset], g[subset]
-            pts, inv = np.unique(local, return_inverse=True)
-            n_ref = pts.size
-        if n_ref >= len(local):
-            active = g != 0.0
-            a, b, c = local[active].T
-            C = (sp.diags(g[active]) @ P[a]).T @ (P[b] - P[c])
-            return C + C.T
         if subset is None:
             if self._full_pattern is None:
-                self._full_pattern = _pair_pattern(local, n_ref)
-            S, slot = self._full_pattern
+                self._full_pattern = self._anchor_pattern(self.local)
+            W, slot, PuT = self._full_pattern
         else:
-            local, P, PT = inv.reshape(-1, 3), P[pts], PT[:, pts]
-            S, slot = _pair_pattern(local, n_ref)
-        S.data = np.bincount(slot, weights=_pair_weights(g), minlength=S.nnz)
-        return PT @ (S @ P)
+            active = subset[g[subset] != 0.0]
+            g = g[active]
+            W, slot, PuT = self._anchor_pattern(self.local[active])
+        W.data = np.bincount(slot, weights=np.concatenate((g, -g)), minlength=W.nnz)
+        C = PuT @ (W @ self.P)
+        return C + C.T
+
+    def _anchor_pattern(self, tri: np.ndarray):
+        """CSR pattern of W (distinct anchors of `tri` x n_used), the slot in
+        it of each triplet's ab entry then of each ac entry, and P_u^T."""
+        n = self.P.shape[0]
+        u, row = np.unique(tri[:, 0], return_inverse=True)
+        keys, slot = np.unique(np.concatenate((row * n + tri[:, 1], row * n + tri[:, 2])),
+                               return_inverse=True)
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // n, minlength=u.size))))
+        W = sp.csr_matrix((np.zeros(keys.size), keys % n, indptr), shape=(u.size, n))
+        Pu = self.P[u]
+        return W, slot, Pu.T if isinstance(Pu, np.ndarray) else Pu.T.tocsr()
 
     def __len__(self) -> int:
         return self.triplets.shape[0]
@@ -167,21 +171,6 @@ class ConstraintSet:
         xn = np.asarray(self.X.multiply(self.X).sum(axis=1)).ravel()
         dn = np.asarray(self.D.multiply(self.D).sum(axis=1)).ravel()
         return float(np.mean(xn * dn))
-
-
-def _pair_pattern(tri: np.ndarray, n: int):
-    """CSR pattern of S = W + W^T for triplets (a, b, c) over n points, and
-    the slot in it of each ab, ba, ac, ca entry, in _pair_weights order."""
-    a, b, c = tri[:, 0], tri[:, 1], tri[:, 2]
-    rows, cols = np.concatenate((a, b, a, c)), np.concatenate((b, a, c, a))
-    keys, slot = np.unique(rows * n + cols, return_inverse=True)
-    indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // n, minlength=n))))
-    return sp.csr_matrix((np.zeros(keys.size), keys % n, indptr), shape=(n, n)), slot
-
-
-def _pair_weights(g: np.ndarray) -> np.ndarray:
-    """+g_t for the ab and ba entries of S, -g_t for ac and ca."""
-    return np.concatenate((g, g, -g, -g))
 
 
 class MarginCache:
@@ -231,26 +220,11 @@ def objective(cache: MarginCache) -> float:
     return float(np.mean(smoothed_hinge(cache.margins)))
 
 
-def update_cache(cache: MarginCache, kind: str, gamma: float, basis_inners) -> None:
-    """Advance margins one solver step.
+def update_cache_sparse(cache: MarginCache, kind: str, gamma: float, rows: np.ndarray, vals: np.ndarray) -> None:
+    """Advance margins one solver step, with the basis inners b in sparse form.
 
     Forward: m <- (1-gamma)*m + gamma*b. Away: m <- (1+gamma)*m - gamma*b.
     """
-    b = np.asarray(basis_inners, dtype=np.float64)
-    if b.shape != cache.margins.shape:
-        raise ValueError("basis_inners length mismatch")
-    if kind == "F":
-        cache.margins *= 1.0 - gamma
-        cache.margins += gamma * b
-    elif kind == "A":
-        cache.margins *= 1.0 + gamma
-        cache.margins -= gamma * b
-    else:
-        raise ValueError(f"unknown step kind {kind!r}")
-
-
-def update_cache_sparse(cache: MarginCache, kind: str, gamma: float, rows: np.ndarray, vals: np.ndarray) -> None:
-    """Same as update_cache with the basis inners given in sparse form."""
     m = cache.margins
     if kind == "F":
         m *= 1.0 - gamma

@@ -457,6 +457,17 @@ def fw_gap(state: SolverState, fwd: Direction) -> float:
     return grad_inner_with_model(state.cache) - fwd.score
 
 
+def _gap_rounding(cache: MarginCache, fwd: Direction) -> float:
+    """Rounding bound of fw_gap: each of its two means divides a sum of n
+    products by T, and float addition can miss such a sum by up to
+    n * eps * sum |product|."""
+    g, rows = cache.derivs(), fwd.inner_rows
+    # l' <= 0, so -g_t |y| = |g_t y|
+    bound = cache.count * (g @ np.abs(cache.margins))
+    bound += rows.size * (g[rows] @ np.abs(fwd.inner_vals))
+    return -float(np.finfo(np.float64).eps * bound / cache.count)
+
+
 def _rescore_full(cache: MarginCache, d: Direction) -> None:
     """Replace d.score with <B, grad f> over the full constraint set."""
     g = cache.derivs()
@@ -485,9 +496,10 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
     oracle call from a placeholder first atom, which is deterministic and
     at least as good as an arbitrary starting basis. History row k records
     the state at iterate k (objective, gap, atoms, features) and the step
-    taken from it. Stops on max_iters, gap <= gap_tol, or when the
-    validation metric has not improved for `patience` evaluations; with a
-    validation hook the best-scoring snapshot is returned.
+    taken from it. Stops on max_iters, on an exact gap <= gap_tol or
+    within its rounding error, or when the validation metric has not
+    improved for `patience` evaluations; with a validation hook the
+    best-scoring snapshot is returned.
     """
     if len(cs) == 0:
         raise ValueError("empty constraint set")
@@ -529,8 +541,11 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
         if drift is not None:
             record["drift"] = drift
         # the gap certifies optimality only when the forward basis is the
-        # global argmin; sampled oracles give a noisy underestimate
-        gap_converged = cfg.oracle == "exact" and gap <= cfg.gap_tol
+        # global argmin; sampled oracles give a noisy underestimate. A gap
+        # within its rounding error is zero.
+        gap_converged = cfg.oracle == "exact" and (
+            gap <= cfg.gap_tol or gap <= _gap_rounding(state.cache, fwd)
+        )
 
         if cfg.val_fn is not None and k % cfg.eval_every == 0:
             metric = float(cfg.val_fn(state.model))

@@ -10,7 +10,6 @@ from hdsl.objective import (
     objective,
     smoothed_hinge,
     smoothed_hinge_deriv,
-    update_cache,
     update_cache_sparse,
 )
 from hdsl.sparse_data import Dataset, SparseVector
@@ -180,24 +179,23 @@ class TestPairInners:
 
 
 class TestUpdateCache:
+    """update_cache_sparse against the step formulas on dense basis inners."""
+
+    @staticmethod
+    def step(margins, kind, gamma, dense):
+        cache = MarginCache(np.array(margins, dtype=np.float64))
+        rows = np.flatnonzero(dense)
+        update_cache_sparse(cache, kind, gamma, rows, np.asarray(dense, dtype=np.float64)[rows])
+        return cache.margins
+
     def test_full_forward_step_replaces(self):
-        cache = MarginCache(np.array([3.0, -2.0]))
-        update_cache(cache, "F", 1.0, np.array([0.5, 0.5]))
-        np.testing.assert_allclose(cache.margins, [0.5, 0.5])
+        np.testing.assert_allclose(self.step([3.0, -2.0], "F", 1.0, [0.5, 0.5]), [0.5, 0.5])
 
     def test_zero_forward_step_identity(self):
-        cache = MarginCache(np.array([3.0, -2.0]))
-        update_cache(cache, "F", 0.0, np.array([9.0, 9.0]))
-        np.testing.assert_allclose(cache.margins, [3.0, -2.0])
+        np.testing.assert_allclose(self.step([3.0, -2.0], "F", 0.0, [9.0, 9.0]), [3.0, -2.0])
 
     def test_away_step_formula(self):
-        cache = MarginCache(np.array([1.0]))
-        update_cache(cache, "A", 0.5, np.array([2.0]))
-        assert cache.margins[0] == pytest.approx(0.5)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            update_cache(MarginCache(np.zeros(3)), "F", 0.5, np.zeros(2))
+        assert self.step([1.0], "A", 0.5, [2.0])[0] == pytest.approx(0.5)
 
     def test_sparse_matches_dense(self):
         rng = np.random.default_rng(4)
@@ -207,10 +205,11 @@ class TestUpdateCache:
         dense = np.zeros(20)
         dense[rows] = vals
         for kind, gamma in (("F", 0.3), ("A", 0.2)):
-            c1, c2 = MarginCache(margins.copy()), MarginCache(margins.copy())
-            update_cache(c1, kind, gamma, dense)
-            update_cache_sparse(c2, kind, gamma, rows, vals)
-            np.testing.assert_allclose(c1.margins, c2.margins, atol=1e-15)
+            cache = MarginCache(margins.copy())
+            update_cache_sparse(cache, kind, gamma, rows, vals)
+            sign = 1.0 if kind == "F" else -1.0
+            want = (1.0 - sign * gamma) * margins + sign * gamma * dense
+            np.testing.assert_allclose(cache.margins, want, atol=1e-15)
 
 
 class TestGradInnerWithModel:

@@ -32,6 +32,7 @@ from util import (
     basis_score,
     brute_force_forward,
     dense_gradient,
+    dense_triplet_rows,
     random_instance,
     random_model,
     random_sparse_dataset,
@@ -99,8 +100,8 @@ class TestGradientAccumulate:
 
 
 class TestPairStatistic:
-    """gradient_accumulate's H against explicit dense sums, on both kernels:
-    P^T S P when the triplets reuse points, T outer products when not."""
+    """gradient_accumulate's H against explicit dense sums, on triplets that
+    reuse points and on triplets that do not, with P dense and sparse."""
 
     def edge_instance(self, rng, dim):
         ds = random_sparse_dataset(rng, 12, dim, max_nnz=max(2, dim // 3))
@@ -122,11 +123,10 @@ class TestPairStatistic:
             dim = int(rng.integers(4, 20))
             cs = self.edge_instance(rng, dim) if reuse else self.disjoint_instance(rng, dim)
             T = len(cs)
-            # edge instance: all but the last 5 (7 points) reuse points and
-            # take P^T S P; the disjoint instance always takes outer products
+            # edge instance: all but the last 5 (7 points) reuse points
             subsets = [None, np.arange(T - 30, T), np.arange(T - 5, T),
                        np.sort(rng.choice(T, size=10, replace=False))]
-            for _ in range(2):  # a second pass refills the cached full-set S
+            for _ in range(2):  # a second pass refills the cached full-set W
                 cache = MarginCache(rng.uniform(-0.5, 1.5, size=T))
                 for subset in subsets:
                     acc = gradient_accumulate(cs, cache, subset)
@@ -136,6 +136,34 @@ class TestPairStatistic:
                     np.testing.assert_allclose(H, G + G.T, rtol=0, atol=1e-12)
                     np.testing.assert_allclose(acc.diag, np.diag(G), rtol=0, atol=1e-12)
                     assert acc.count == (T if subset is None else subset.size)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_exactly_symmetric(self, sparse, monkeypatch):
+        if sparse:
+            monkeypatch.setattr(ConstraintSet, "DENSE_DIM_LIMIT", 0)
+        rng = np.random.default_rng(17)
+        for cs in (self.edge_instance(rng, 12), self.disjoint_instance(rng, 12)):
+            cache = MarginCache(rng.uniform(-0.5, 1.5, size=len(cs)))
+            for subset in (None, np.arange(0, len(cs), 3)):
+                H = gradient_accumulate(cs, cache, subset).H
+                assert isinstance(H, np.ndarray) != sparse
+                H = sp.csr_matrix(H).toarray()
+                np.testing.assert_array_equal(H, H.T)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_satisfied_subset_gives_zero(self, sparse, monkeypatch):
+        if sparse:
+            monkeypatch.setattr(ConstraintSet, "DENSE_DIM_LIMIT", 0)
+        rng = np.random.default_rng(18)
+        cs = self.edge_instance(rng, 9)
+        margins = rng.uniform(-0.5, 0.5, size=len(cs))
+        subset = np.arange(4, 20)
+        margins[subset] = 1.5  # every subset triplet is satisfied: no anchors
+        acc = gradient_accumulate(cs, MarginCache(margins), subset)
+        assert isinstance(acc.H, np.ndarray) != sparse
+        assert acc.H.shape == (9, 9)
+        np.testing.assert_array_equal(sp.csr_matrix(acc.H).toarray(), np.zeros((9, 9)))
+        np.testing.assert_array_equal(acc.diag, np.zeros(9))
 
     def test_result_survives_later_calls(self, monkeypatch):
         monkeypatch.setattr(ConstraintSet, "DENSE_DIM_LIMIT", 0)
@@ -692,6 +720,17 @@ class TestTrain:
             assert h["atoms"] <= h["k"] + 1
         model.check_invariants()
 
+    def test_gap_zero_up_to_rounding_stops(self):
+        # acceptance criterion 4's reference solve: its gap reaches the
+        # rounding level of fw_gap's sums near iteration 2,500, and it
+        # must stop there rather than wait for a gap of exactly 0.0
+        rng = np.random.default_rng(42)
+        cs = random_instance(rng, dim=50, T=200, n_points=40)
+        _, hist = train(cs, SolverConfig(lam=10.0, max_iters=100_000, gap_tol=0.0))
+        assert len(hist) < 4000
+        assert hist[-1]["gamma"] == 0.0
+        assert abs(hist[-1]["gap"]) < 1e-13
+
     def test_recompute_records_drift(self, monkeypatch):
         import hdsl.solver as solver_mod
 
@@ -768,7 +807,7 @@ class TestBounds:
         rng = np.random.default_rng(91)
         for _ in range(10):
             cs = random_instance(rng, 12, T=15)
-            X, D = cs.X.toarray(), cs.D.toarray()
+            X, D = dense_triplet_rows(cs)
             expected = np.mean(
                 [np.sum(np.outer(X[t], D[t]) ** 2) for t in range(len(cs))]
             )

@@ -71,10 +71,17 @@ def reference_entries(m: Model):
     return [(r, c, v) for (r, c), v in sorted(acc.items()) if v != 0.0]
 
 
+def dense_triplet_rows(cs: ConstraintSet):
+    """Anchor rows x_t and difference rows d_t = x_b - x_c as dense T x d
+    arrays, built from the dataset and the triplet indices."""
+    points = cs.dataset.to_csr().toarray()
+    a, b, c = cs.triplets.T
+    return points[a], points[b] - points[c]
+
+
 def dense_margins(cs: ConstraintSet, m: Model) -> np.ndarray:
     M = dense_model_matrix(m)
-    X = cs.X.toarray()
-    D = cs.D.toarray()
+    X, D = dense_triplet_rows(cs)
     return np.einsum("ti,ij,tj->t", X, M, D)
 
 
@@ -83,9 +90,8 @@ def dense_gradient(cs: ConstraintSet, margins: np.ndarray, subset=None) -> np.nd
     or the same mean over the constraints in `subset`."""
     rows = np.arange(len(cs)) if subset is None else np.asarray(subset)
     g = smoothed_hinge_deriv(margins)[rows]
-    X = cs.X.toarray()[rows]
-    D = cs.D.toarray()[rows]
-    return (X * g[:, None]).T @ D / rows.size
+    X, D = dense_triplet_rows(cs)
+    return (X[rows] * g[:, None]).T @ D[rows] / rows.size
 
 
 def basis_score(grad: np.ndarray, b: BasisId, lam: float) -> float:
