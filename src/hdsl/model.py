@@ -63,15 +63,11 @@ class Model:
         self.check_invariants()
 
     def check_invariants(self) -> None:
-        total = 0.0
-        for b, a in self.atoms.items():
-            if not (0 <= b.i < b.j < self.dim):
-                raise ValueError(f"basis {b} out of range for dim={self.dim}")
-            if not a > 0:
-                raise ValueError(f"atom weight must be positive, got {a} for {b}")
-            total += a
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"atom weights sum to {total}, expected 1")
+        try:
+            i, j, _, alpha = atom_arrays(self)
+        except OverflowError:
+            raise ValueError(f"basis index out of range for dim={self.dim}") from None
+        check_atoms(i, j, alpha, self.dim)
 
     @property
     def n_atoms(self) -> int:
@@ -83,9 +79,6 @@ class Model:
             feats.add(b.i)
             feats.add(b.j)
         return feats
-
-    def copy(self) -> "Model":
-        return Model(self.lam, self.dim, dict(self.atoms))
 
     def __eq__(self, other):
         if not isinstance(other, Model):
@@ -104,7 +97,7 @@ def basis_inner(x: SparseVector, d: SparseVector, b: BasisId, lam: float) -> flo
     return lam * (xi * di + xj * dj + b.sign * (xi * dj + xj * di))
 
 
-def _atom_arrays(m: Model):
+def atom_arrays(m: Model):
     """Atoms as parallel arrays (i, j, sign, alpha) in insertion order."""
     n = m.n_atoms
     i = np.fromiter((b.i for b in m.atoms), dtype=np.int64, count=n)
@@ -112,6 +105,23 @@ def _atom_arrays(m: Model):
     sign = np.fromiter((b.sign for b in m.atoms), dtype=np.int64, count=n)
     alpha = np.fromiter(m.atoms.values(), dtype=np.float64, count=n)
     return i, j, sign, alpha
+
+
+def check_atoms(i: np.ndarray, j: np.ndarray, alpha: np.ndarray, dim: int) -> None:
+    """Raise ValueError unless every atom has 0 <= i < j < dim and a positive
+    weight, and the weights, summed in atom order, are 1 within
+    WEIGHT_SUM_TOL."""
+    bad = np.flatnonzero(~((0 <= i) & (i < j) & (j < dim)))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"basis ({i[k]}, {j[k]}) out of range for dim={dim}")
+    bad = np.flatnonzero(~(alpha > 0))
+    if bad.size:
+        k = bad[0]
+        raise ValueError(f"atom weight must be positive, got {alpha[k]} for ({i[k]}, {j[k]})")
+    total = sum(alpha.tolist())
+    if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        raise ValueError(f"atom weights sum to {total}, expected 1")
 
 
 def _values_at(x: SparseVector, idx: np.ndarray) -> np.ndarray:
@@ -130,7 +140,7 @@ def similarity(m: Model, x: SparseVector, x2: SparseVector) -> float:
     """
     if x.dim != x2.dim or x.dim != m.dim:
         raise ValueError("dimension mismatch")
-    i, j, sign, alpha = _atom_arrays(m)
+    i, j, sign, alpha = atom_arrays(m)
     xi, xj = _values_at(x, i), _values_at(x, j)
     yi, yj = _values_at(x2, i), _values_at(x2, j)
     return m.lam * float(np.sum(alpha * (xi * yi + xj * yj + sign * (xi * yj + xj * yi))))
@@ -146,7 +156,7 @@ def to_csr_matrix(m: Model) -> sp.csr_matrix:
     result is symmetric with sorted indices.
     """
     d = m.dim
-    i, j, sign, alpha = _atom_arrays(m)
+    i, j, sign, alpha = atom_arrays(m)
     w = alpha * m.lam
     rows = np.stack([i, j, i, j], axis=1).ravel()
     cols = np.stack([i, j, j, i], axis=1).ravel()
@@ -186,7 +196,7 @@ class ProjectionMap:
 
 
 def factorize(m: Model) -> ProjectionMap:
-    i, j, sign, alpha = _atom_arrays(m)
+    i, j, sign, alpha = atom_arrays(m)
     order = np.lexsort((-sign, j, i))  # basis_sort_key order: (i, j), Pos before Neg
     coeff = np.sqrt(alpha[order] * m.lam)
     return ProjectionMap(i=i[order], j=j[order], sign=sign[order], coeff=coeff, dim=m.dim)

@@ -45,9 +45,10 @@ class ConstraintSet:
     those points as rows of `P` and `PT` = P^T; pair_statistic (exact and
     mini-batch oracles), pair_inners and the heuristic oracle's partner
     scores work from it. The triplet view holds anchor rows X (T x d),
-    difference rows D = X_b - X_c and XD = X.multiply(D), whose column sums
-    give the heuristic oracle's diagonal statistic; lipschitz_constant and
-    the dense test references read X and D.
+    difference rows D = X_b - X_c and XD = X.multiply(D). The heuristic
+    oracle reads XD, whose column sums give its diagonal statistic. X and D
+    are read by lipschitz_constant and, from outside the library, by the
+    benchmark tracer's pair-product counter, which is why they stay.
     """
 
     DENSE_DIM_LIMIT = 512

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .model import NEG, POS, BasisId, Model
+from .model import NEG, POS, BasisId, Model, atom_arrays, check_atoms
 from .objective import (
     ConstraintSet,
     MarginCache,
@@ -277,49 +277,28 @@ def forward_heuristic(
     )
 
 
-def away_direction(
-    model: Model,
-    cs: ConstraintSet,
-    cache: MarginCache,
-    inners: Optional[Dict[BasisId, Tuple[np.ndarray, np.ndarray]]] = None,
-    acc: Optional[GradientAccumulators] = None,
-) -> Direction:
+def away_direction(state: "SolverState", acc: Optional[GradientAccumulators] = None) -> Direction:
     """Argmax of <B, grad f> over the active atoms (full constraint set).
 
     gamma_max is alpha/(1-alpha); a single-atom model cannot take an away
     step, so its gamma_max is 0. Pass full-set accumulators (exact oracle)
     on the dense path to score all atoms with one lookup into H instead of
-    per-atom inner products.
+    one score per stored inner-product vector.
     """
-    if model.n_atoms < 1:
-        raise ValueError("model has no atoms")
-    def inner(b):
-        if inners is not None and b in inners:
-            return inners[b]
-        return cs.pair_inners(b.i, b.j, b.sign, model.lam)
-
-    bases = list(model.atoms)
-    ii = np.array([b.i for b in bases])
-    jj = np.array([b.j for b in bases])
-    signs = np.array([b.sign for b in bases])
+    ii, jj, signs = state.bases.T
     if acc is not None and isinstance(acc.H, np.ndarray):
-        scores = model.lam * (acc.diag[ii] + acc.diag[jj] + signs * acc.H[ii, jj])
+        scores = state.lam * (acc.diag[ii] + acc.diag[jj] + signs * acc.H[ii, jj])
     else:
-        g = cache.derivs()
-        scores = np.array(
-            [float(g[r] @ v) / cache.count if r.size else 0.0 for r, v in map(inner, bases)]
-        )
+        scores = np.array([_full_score(state.cache, r, v) for r, v in state.inners])
     # argmax with ties to the smallest (i, j, Pos<Neg)
     k = _lex_min_candidate(-scores, ii, jj, signs)
-    best_basis, best_score = bases[k], scores[k]
-    rows, vals = inner(best_basis)
-    alpha = model.atoms[best_basis]
-    gamma_max = 0.0 if model.n_atoms == 1 else alpha / (1.0 - alpha)
+    rows, vals = state.inners[k]
+    alpha = float(state.alpha[k])
     return Direction(
         kind="A",
-        basis=best_basis,
-        gamma_max=gamma_max,
-        score=float(best_score),
+        basis=BasisId._make(state.bases[k].tolist()),
+        gamma_max=0.0 if state.n_atoms == 1 else alpha / (1.0 - alpha),
+        score=float(scores[k]),
         inner_rows=rows,
         inner_vals=vals,
     )
@@ -387,69 +366,81 @@ def line_search(cache: MarginCache, d: Direction) -> float:
 
 @dataclass
 class SolverState:
-    """Single-owner mutable solver state: model, margin cache, bookkeeping."""
+    """The active set and the margin cache, owned by the solver.
 
-    model: Model
+    Atoms are parallel arrays in insertion order: `bases` (K x 3 rows of
+    i, j, sign), weights `alpha` and `inners`, each atom's per-constraint
+    <A^t, B> values as sparse (rows, vals). `model` builds a Model from them.
+    """
+
+    lam: float
+    dim: int
+    bases: np.ndarray
+    alpha: np.ndarray
+    inners: List[Tuple[np.ndarray, np.ndarray]]
     cache: MarginCache
-    iteration: int = 0
-    history: List[dict] = field(default_factory=list)
-    atom_inners: Dict[BasisId, Tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)
-    feature_counts: Dict[int, int] = field(default_factory=dict)
 
-    def register_atom(self, b: BasisId, rows: np.ndarray, vals: np.ndarray) -> None:
-        self.atom_inners[b] = (rows, vals)
-        for f in (b.i, b.j):
-            self.feature_counts[f] = self.feature_counts.get(f, 0) + 1
+    @classmethod
+    def from_model(cls, cs: ConstraintSet, model: Model) -> "SolverState":
+        i, j, sign, alpha = atom_arrays(model)
+        bases = np.stack([i, j, sign], axis=1)
+        inners = [cs.pair_inners(*b, model.lam) for b in bases.tolist()]
+        return cls(model.lam, model.dim, bases, alpha, inners, init_cache(cs, model))
 
-    def drop_atom(self, b: BasisId) -> None:
-        self.atom_inners.pop(b, None)
-        for f in (b.i, b.j):
-            self.feature_counts[f] -= 1
-            if self.feature_counts[f] == 0:
-                del self.feature_counts[f]
+    @property
+    def model(self) -> Model:
+        """A new Model of the active set, atoms in insertion order."""
+        atoms = dict(zip(map(BasisId._make, self.bases.tolist()), self.alpha.tolist()))
+        return Model(self.lam, self.dim, atoms)
+
+    @property
+    def n_atoms(self) -> int:
+        return self.alpha.size
 
     @property
     def n_features(self) -> int:
-        return len(self.feature_counts)
+        return len(set(self.bases[:, :2].ravel().tolist()))
 
 
 def apply_step(state: SolverState, d: Direction, gamma: float) -> None:
     """Update atom weights and margins for one accepted step.
 
     Forward scales every weight by (1-gamma) and adds gamma on the chosen
-    basis; away scales by (1+gamma) and subtracts. Weights at or below the
-    drop tolerance are removed and the rest renormalized to sum exactly 1.
+    basis (appended if new); away scales by (1+gamma) and subtracts. Weights
+    at or below the drop tolerance are removed and the rest renormalized by
+    their sum in atom order.
     """
-    if gamma < 0 or gamma > d.gamma_max * (1 + 1e-12) + 1e-15:
+    if not 0 <= gamma <= d.gamma_max * (1 + 1e-12) + 1e-15:
         raise ValueError(f"gamma {gamma} outside [0, {d.gamma_max}]")
-    atoms = state.model.atoms
+    hit = np.flatnonzero((state.bases == d.basis).all(axis=1))
     if d.kind == "F":
-        for b in atoms:
-            atoms[b] *= 1.0 - gamma
-        if d.basis in atoms:
-            atoms[d.basis] += gamma
+        alpha = state.alpha * (1.0 - gamma)
+        if hit.size:
+            alpha[hit[0]] += gamma
         else:
-            atoms[d.basis] = gamma
-            state.register_atom(d.basis, d.inner_rows, d.inner_vals)
+            alpha = np.append(alpha, gamma)
+            state.bases = np.vstack([state.bases, d.basis])
+            state.inners.append((d.inner_rows, d.inner_vals))
     elif d.kind == "A":
-        for b in atoms:
-            atoms[b] *= 1.0 + gamma
-        atoms[d.basis] -= gamma
+        if not hit.size:
+            raise ValueError(f"away step from {d.basis}, which is not an active atom")
+        alpha = state.alpha * (1.0 + gamma)
+        alpha[hit[0]] -= gamma
     else:
         raise ValueError(f"unknown direction kind {d.kind!r}")
 
-    dead = [b for b, a in atoms.items() if a <= ATOM_DROP_TOL]
-    for b in dead:
-        del atoms[b]
-        state.drop_atom(b)
-    if not atoms:
+    keep = alpha > ATOM_DROP_TOL
+    if not keep.any():
         raise RuntimeError("all atoms removed; step bookkeeping is inconsistent")
-    total = sum(atoms.values())
+    if not keep.all():
+        alpha, state.bases = alpha[keep], state.bases[keep]
+        state.inners = [x for x, k in zip(state.inners, keep) if k]
+    total = sum(alpha.tolist())
     if total != 1.0:
-        for b in atoms:
-            atoms[b] /= total
+        alpha /= total
+    state.alpha = alpha
     update_cache_sparse(state.cache, d.kind, gamma, d.inner_rows, d.inner_vals)
-    state.model.check_invariants()
+    check_atoms(state.bases[:, 0], state.bases[:, 1], alpha, state.dim)
 
 
 def fw_gap(state: SolverState, fwd: Direction) -> float:
@@ -468,10 +459,9 @@ def _gap_rounding(cache: MarginCache, fwd: Direction) -> float:
     return -float(np.finfo(np.float64).eps * bound / cache.count)
 
 
-def _rescore_full(cache: MarginCache, d: Direction) -> None:
-    """Replace d.score with <B, grad f> over the full constraint set."""
-    g = cache.derivs()
-    d.score = float(g[d.inner_rows] @ d.inner_vals) / cache.count if d.inner_rows.size else 0.0
+def _full_score(cache: MarginCache, rows: np.ndarray, vals: np.ndarray) -> float:
+    """<B, grad f> over the full constraint set, from B's sparse inner products."""
+    return float(cache.derivs()[rows] @ vals) / cache.count if rows.size else 0.0
 
 
 def _forward_direction(
@@ -485,7 +475,7 @@ def _forward_direction(
         d = forward_minibatch(cs, cache, cfg.lam, min(cfg.batch_size, len(cs)), rng)
     else:
         d = forward_heuristic(cs, cache, min(cfg.batch_size, len(cs)), rng, cfg.lam, cs.dim)
-    _rescore_full(cache, d)
+    d.score = _full_score(cache, d.inner_rows, d.inner_vals)
     return d, acc
 
 
@@ -507,19 +497,16 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
         raise ValueError("need at least two features")
     rng = np.random.default_rng(cfg.seed)
 
-    model0 = Model(cfg.lam, cs.dim, {BasisId(0, 1, POS): 1.0})
-    state = SolverState(model=model0, cache=init_cache(cs, model0))
-    rows, vals = cs.pair_inners(0, 1, POS, cfg.lam)
-    state.register_atom(BasisId(0, 1, POS), rows, vals)
+    state = SolverState.from_model(cs, Model(cfg.lam, cs.dim, {BasisId(0, 1, POS): 1.0}))
     d0, _ = _forward_direction(cs, state.cache, cfg, rng)
     apply_step(state, d0, 1.0)
 
+    history: List[dict] = []
     best_val = -np.inf
     best_model: Optional[Model] = None
     stale_evals = 0
 
     for k in range(cfg.max_iters):
-        state.iteration = k
         drift = None
         if k > 0 and k % RECOMPUTE_EVERY == 0:
             fresh = init_cache(cs, state.model).margins
@@ -535,7 +522,7 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
             "k": k,
             "objective": obj,
             "gap": gap,
-            "atoms": state.model.n_atoms,
+            "atoms": state.n_atoms,
             "features": state.n_features,
         }
         if drift is not None:
@@ -548,36 +535,35 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
         )
 
         if cfg.val_fn is not None and k % cfg.eval_every == 0:
-            metric = float(cfg.val_fn(state.model))
+            model = state.model
+            metric = float(cfg.val_fn(model))
             record["val_metric"] = metric
             if metric > best_val:
                 best_val = metric
-                best_model = state.model.copy()
+                best_model = model
                 stale_evals = 0
             else:
                 stale_evals += 1
 
         if gap_converged:
             record.update(step="F", gamma=0.0)
-            state.history.append(record)
+            history.append(record)
             break
 
-        away = away_direction(state.model, cs, state.cache, inners=state.atom_inners, acc=acc)
+        away = away_direction(state, acc)
         chosen = choose_direction(fwd, away, state.cache)
         gamma = line_search(state.cache, chosen)
         apply_step(state, chosen, gamma)
         record.update(step=chosen.kind, gamma=gamma)
-        state.history.append(record)
+        history.append(record)
 
         if cfg.val_fn is not None and stale_evals >= cfg.patience:
             break
 
-    if cfg.val_fn is not None and best_model is not None:
-        final = float(cfg.val_fn(state.model))
-        if final > best_val:
-            best_model = state.model
-        return best_model, state.history
-    return state.model, state.history
+    model = state.model
+    if cfg.val_fn is not None and best_model is not None and float(cfg.val_fn(model)) <= best_val:
+        return best_model, history
+    return model, history
 
 
 def lipschitz_constant(cs: ConstraintSet) -> float:

@@ -114,12 +114,11 @@ class TestCriterion3BookkeepingSoundness:
         cs = random_instance(rng, dim=50, T=200, n_points=40)
         lam = 10.0
         model = Model(lam, 50, {BasisId(0, 1, POS): 1.0})
-        state = SolverState(model=model, cache=init_cache(cs, model))
-        state.register_atom(BasisId(0, 1, POS), *cs.pair_inners(0, 1, POS, lam))
+        state = SolverState.from_model(cs, model)
         for k in range(100):
             acc = gradient_accumulate(cs, state.cache)
             fwd = forward_exact(acc, lam, 50, cs=cs)
-            away = away_direction(state.model, cs, state.cache, inners=state.atom_inners, acc=acc)
+            away = away_direction(state, acc)
             chosen = choose_direction(fwd, away, state.cache)
             gamma = line_search(state.cache, chosen)
             apply_step(state, chosen, gamma)
@@ -175,12 +174,11 @@ class TestCriterion5StructuralInvariants:
         cs = random_instance(rng, dim=50, T=200, n_points=40)
         lam = 10.0
         model = Model(lam, 50, {BasisId(0, 1, POS): 1.0})
-        state = SolverState(model=model, cache=init_cache(cs, model))
-        state.register_atom(BasisId(0, 1, POS), *cs.pair_inners(0, 1, POS, lam))
+        state = SolverState.from_model(cs, model)
         for k in range(150):
             acc = gradient_accumulate(cs, state.cache)
             fwd = forward_exact(acc, lam, 50, cs=cs)
-            away = away_direction(state.model, cs, state.cache, inners=state.atom_inners, acc=acc)
+            away = away_direction(state, acc)
             chosen = choose_direction(fwd, away, state.cache)
             gamma = line_search(state.cache, chosen)
             apply_step(state, chosen, gamma)

@@ -355,6 +355,11 @@ class TestSerialization:
         with pytest.raises(ValueError):
             deserialize(text)
 
+    @pytest.mark.parametrize("atom", ["P 0 5 1", "P 0 99999999999999999999999 1", "P -99999999999999999999999 1 1"])
+    def test_out_of_range_index_rejected(self, atom):
+        with pytest.raises(ValueError, match="out of range"):
+            deserialize(f"hdsl-model 1\nlambda 1 dim 4\n{atom}\n")
+
     def test_duplicate_atom_rejected(self):
         with pytest.raises(ValueError):
             deserialize("hdsl-model 1\nlambda 1 dim 4\nP 0 1 0.5\nP 0 1 0.5\n")

@@ -37,6 +37,8 @@ from util import (
     random_model,
     random_sparse_dataset,
     random_triplets,
+    reference_apply_step,
+    solver_state,
 )
 
 
@@ -389,8 +391,7 @@ class TestAwayDirection:
         rng = np.random.default_rng(41)
         cs = random_instance(rng, 8, T=10)
         m = random_model(rng, 8, 1, lam=1.0)
-        cache = init_cache(cs, m)
-        d = away_direction(m, cs, cache)
+        d = away_direction(solver_state(cs, m))
         assert d.gamma_max == 0.0
         assert d.basis in m.atoms
 
@@ -399,9 +400,9 @@ class TestAwayDirection:
         ds = Dataset([sv([(0, 1.0)], 4), sv([(1, 1.0)], 4), sv([(2, 1.0), (3, 1.0)], 4)])
         cs = ConstraintSet(ds, np.array([[0, 1, 2]]))
         m = Model(1.0, 4, {BasisId(0, 1, POS): 0.5, BasisId(2, 3, POS): 0.5})
-        cache = init_cache(cs, m)
-        d = away_direction(m, cs, cache)
-        grad = dense_gradient(cs, cache.margins)
+        state = solver_state(cs, m)
+        d = away_direction(state)
+        grad = dense_gradient(cs, state.cache.margins)
         scores = {b: basis_score(grad, b, m.lam) for b in m.atoms}
         assert d.basis == max(scores, key=scores.get)
         assert d.gamma_max == pytest.approx(1.0)
@@ -412,9 +413,9 @@ class TestAwayDirection:
             dim = int(rng.integers(5, 20))
             cs = random_instance(rng, dim, T=20)
             m = random_model(rng, dim, 4, lam=1.5)
-            cache = init_cache(cs, m)
-            d = away_direction(m, cs, cache)
-            grad = dense_gradient(cs, cache.margins)
+            state = solver_state(cs, m)
+            d = away_direction(state)
+            grad = dense_gradient(cs, state.cache.margins)
             best = max(
                 ((basis_score(grad, b, m.lam), -b.i, -b.j) for b in m.atoms),
             )
@@ -425,11 +426,10 @@ class TestAwayDirection:
         for _ in range(10):
             dim = int(rng.integers(5, 20))
             cs = random_instance(rng, dim, T=25)
-            m = random_model(rng, dim, 5, lam=2.0)
-            cache = init_cache(cs, m)
-            acc = gradient_accumulate(cs, cache)
-            via_dots = away_direction(m, cs, cache)
-            via_acc = away_direction(m, cs, cache, acc=acc)
+            state = solver_state(cs, random_model(rng, dim, 5, lam=2.0))
+            acc = gradient_accumulate(cs, state.cache)
+            via_dots = away_direction(state)
+            via_acc = away_direction(state, acc)
             assert via_acc.basis == via_dots.basis
             assert via_acc.score == pytest.approx(via_dots.score, abs=1e-12)
 
@@ -548,14 +548,10 @@ class TestLineSearch:
 class TestApplyStep:
     def make_state(self, rng, dim=8, T=12, n_atoms=3, lam=1.0):
         cs = random_instance(rng, dim, T=T)
-        m = random_model(rng, dim, n_atoms, lam=lam)
-        state = SolverState(model=m, cache=init_cache(cs, m))
-        for b in m.atoms:
-            state.register_atom(b, *cs.pair_inners(b.i, b.j, b.sign, lam))
-        return cs, state
+        return cs, solver_state(cs, random_model(rng, dim, n_atoms, lam=lam))
 
     def fwd_direction(self, cs, state, basis):
-        rows, vals = cs.pair_inners(basis.i, basis.j, basis.sign, state.model.lam)
+        rows, vals = cs.pair_inners(basis.i, basis.j, basis.sign, state.lam)
         return Direction("F", basis, 1.0, 0.0, rows, vals)
 
     def test_full_forward_collapses(self):
@@ -583,7 +579,7 @@ class TestApplyStep:
         target = sorted(state.model.atoms)[0]
         alpha = state.model.atoms[target]
         gmax = alpha / (1 - alpha)
-        rows, vals = state.atom_inners[target]
+        rows, vals = cs.pair_inners(*target, state.lam)
         d = Direction("A", target, gmax, 0.0, rows, vals)
         apply_step(state, d, gmax)
         assert target not in state.model.atoms
@@ -605,7 +601,7 @@ class TestApplyStep:
                 target = sorted(state.model.atoms)[int(rng.integers(state.model.n_atoms))]
                 alpha = state.model.atoms[target]
                 gmax = alpha / (1 - alpha)
-                rows, vals = state.atom_inners[target]
+                rows, vals = cs.pair_inners(*target, state.lam)
                 d = Direction("A", target, gmax, 0.0, rows, vals)
                 gamma = float(rng.uniform(0, gmax))
             else:
@@ -616,15 +612,53 @@ class TestApplyStep:
         recomputed = init_cache(cs, state.model)
         np.testing.assert_allclose(state.cache.margins, recomputed.margins, atol=1e-10)
 
+    def test_from_model_round_trip(self):
+        rng = np.random.default_rng(66)
+        cs = random_instance(rng, 10, T=20)
+        m = random_model(rng, 10, 12, lam=2.0)
+        state = SolverState.from_model(cs, m)
+        assert state.model == m
+        assert list(state.model.atoms) == list(m.atoms)
+        np.testing.assert_array_equal(state.cache.margins, init_cache(cs, m).margins)
+
+    def test_matches_dict_reference_bit_for_bit(self):
+        # forward steps from a pool of 42 bases add and re-hit atoms, away
+        # steps at gamma_max drop them; with 8 or more atoms numpy's pairwise
+        # alpha.sum() rounds differently from the in-order sum
+        rng = np.random.default_rng(67)
+        dim = 7
+        cs = random_instance(rng, dim, T=30)
+        m = random_model(rng, dim, 10, lam=1.0)
+        state = SolverState.from_model(cs, m)
+        atoms, cache = dict(m.atoms), init_cache(cs, m)
+        kinds = set()
+        for _ in range(400):
+            if rng.random() < 0.4 and len(atoms) > 1:
+                basis = list(atoms)[int(rng.integers(len(atoms)))]
+                gmax = atoms[basis] / (1.0 - atoms[basis])
+                gamma = gmax if rng.random() < 0.3 else float(rng.uniform(0, gmax))
+                kind = "A"
+            else:
+                i, j = sorted(rng.choice(dim, 2, replace=False).tolist())
+                basis = BasisId(i, j, POS if rng.random() < 0.5 else NEG)
+                gmax, kind = 1.0, "F"
+                gamma = 1.0 if rng.random() < 0.01 else float(rng.uniform(0, 0.2))
+            kinds.add((kind, basis in atoms, gamma == gmax))
+            d = Direction(kind, basis, gmax, 0.0, *cs.pair_inners(*basis, m.lam))
+            apply_step(state, d, gamma)
+            reference_apply_step(atoms, cache, d, gamma)
+            assert list(state.model.atoms.items()) == list(atoms.items())
+            np.testing.assert_array_equal(state.cache.margins, cache.margins)
+        assert {("F", False, False), ("F", True, False), ("A", True, True)} <= kinds
+
 
 class TestFwGap:
     def test_zero_when_satisfied(self):
         rng = np.random.default_rng(71)
         cs = random_instance(rng, 8, T=10)
         m = random_model(rng, 8, 2, lam=1.0)
-        cache = MarginCache(np.full(10, 5.0))
-        state = SolverState(model=m, cache=cache)
-        fwd = forward_exact(gradient_accumulate(cs, cache), m.lam, 8, cs=cs)
+        state = solver_state(cs, m, margins=np.full(10, 5.0))
+        fwd = forward_exact(gradient_accumulate(cs, state.cache), m.lam, 8, cs=cs)
         assert fw_gap(state, fwd) == 0.0
 
     def test_nonnegative_and_matches_dense(self):
@@ -633,12 +667,11 @@ class TestFwGap:
             dim = int(rng.integers(4, 18))
             cs = random_instance(rng, dim, T=15)
             m = random_model(rng, dim, 3, lam=2.0)
-            cache = init_cache(cs, m)
-            state = SolverState(model=m, cache=cache)
-            fwd = forward_exact(gradient_accumulate(cs, cache), m.lam, dim, cs=cs)
+            state = solver_state(cs, m)
+            fwd = forward_exact(gradient_accumulate(cs, state.cache), m.lam, dim, cs=cs)
             gap = fw_gap(state, fwd)
             assert gap >= -1e-10
-            grad = dense_gradient(cs, cache.margins)
+            grad = dense_gradient(cs, state.cache.margins)
             from util import dense_model_matrix
 
             expected = float(np.sum(grad * dense_model_matrix(m))) - basis_score(

@@ -10,7 +10,8 @@ import math
 import numpy as np
 
 from hdsl.model import NEG, POS, BasisId, Model, to_csr_matrix
-from hdsl.objective import ConstraintSet, smoothed_hinge_deriv
+from hdsl.objective import ConstraintSet, MarginCache, smoothed_hinge_deriv, update_cache_sparse
+from hdsl.solver import ATOM_DROP_TOL, SolverState
 from hdsl.sparse_data import Dataset, SparseVector
 
 
@@ -47,6 +48,34 @@ def random_model(rng, dim, n_atoms, lam):
         atoms[BasisId(int(i), int(j), POS if rng.random() < 0.5 else NEG)] = rng.random() + 0.05
     total = sum(atoms.values())
     return Model(lam, dim, {b: a / total for b, a in atoms.items()})
+
+
+def solver_state(cs: ConstraintSet, m: Model, margins=None) -> SolverState:
+    """SolverState.from_model, with the cache's margins replaced if given."""
+    state = SolverState.from_model(cs, m)
+    if margins is not None:
+        state.cache = MarginCache(margins)
+    return state
+
+
+def reference_apply_step(atoms: dict, cache: MarginCache, d, gamma: float) -> None:
+    """apply_step on a {basis: weight} dict, one atom at a time: scale, add
+    or insert the basis, delete weights at or below ATOM_DROP_TOL, divide by
+    the in-order sum when it is not exactly 1, then advance the margins."""
+    scale = 1.0 - gamma if d.kind == "F" else 1.0 + gamma
+    for b in atoms:
+        atoms[b] *= scale
+    if d.kind == "F":
+        atoms[d.basis] = atoms.get(d.basis, 0.0) + gamma
+    else:
+        atoms[d.basis] -= gamma
+    for b in [b for b, a in atoms.items() if a <= ATOM_DROP_TOL]:
+        del atoms[b]
+    total = sum(atoms.values())
+    if total != 1.0:
+        for b in atoms:
+            atoms[b] /= total
+    update_cache_sparse(cache, d.kind, gamma, d.inner_rows, d.inner_vals)
 
 
 def dense_model_matrix(m: Model) -> np.ndarray:
