@@ -49,6 +49,12 @@ class ConstraintSet:
     oracle reads XD, whose column sums give its diagonal statistic. X and D
     are read by lipschitz_constant and, from outside the library, by the
     benchmark tracer's pair-product counter, which is why they stay.
+
+    Form rules: P is dense when d <= DENSE_DIM_LIMIT and n_used*d <=
+    DENSE_CELL_LIMIT, and CSR otherwise; the pair statistic H is a dense
+    d x d array when d*d <= DENSE_CELL_LIMIT, and CSR otherwise. The set
+    holds no solver state: the exact oracle's running statistic lives on
+    the MarginCache of the solve.
     """
 
     DENSE_DIM_LIMIT = 512
@@ -104,8 +110,9 @@ class ConstraintSet:
         col[self.PT.indices[lo:hi]] = self.PT.data[lo:hi]
         return col
 
-    def pair_statistic(self, g: np.ndarray, subset: Optional[np.ndarray] = None):
-        """sum_t g_t (x_t d_t^T + d_t x_t^T) over all constraints or a subset.
+    def pair_statistic(self, g: np.ndarray, subset: Optional[np.ndarray] = None, out=None):
+        """sum_t g_t (x_t d_t^T + d_t x_t^T) over all constraints or a subset,
+        added to `out` when one is given.
 
         This is C + C^T with C = P_u^T (W P): P holds the n_used referenced
         points, P_u the distinct anchors' rows of it, and W (anchors x
@@ -114,24 +121,50 @@ class ConstraintSet:
         P) for the product with P_u^T. Without point reuse that is the work
         of the T outer products; with reuse, half that of P^T (W + W^T) P.
         The full set builds W's pattern and P_u^T on its first call and
-        refills W after that; a subset builds them over its active
-        (g_t != 0) triplets, so its cost follows those.
+        refills W after that, dropping its zero entries when they are at
+        least half, so a g that is zero on most rows (a change of the loss
+        derivatives) costs what its nonzero rows touch; a subset builds
+        them over its active (g_t != 0) triplets, so its cost follows those.
+
+        The result is a dense d x d array when d*d <= DENSE_CELL_LIMIT, which
+        adds O(d^2) passes, and CSR otherwise; a dense `out` is updated in
+        place. It is exactly symmetric, and so is `out` after the update if
+        it was before.
         """
         if subset is None:
             if self._full_pattern is None:
                 self._full_pattern = self._anchor_pattern(self.local)
-            W, slot, PuT = self._full_pattern
+            W, indices, indptr, slot, PuT = self._full_pattern
         else:
             active = subset[g[subset] != 0.0]
             g = g[active]
-            W, slot, PuT = self._anchor_pattern(self.local[active])
-        W.data = np.bincount(slot, weights=np.concatenate((g, -g)), minlength=W.nnz)
+            W, indices, indptr, slot, PuT = self._anchor_pattern(self.local[active])
+        data = np.bincount(slot, weights=np.concatenate((g, -g)), minlength=indices.size)
+        # once at least half of W's entries are zero, W keeps its nonzero
+        # entries only; the arrays are assigned directly, since a new matrix
+        # would cost more in format checks than W P does
+        if 2 * np.count_nonzero(data) <= data.size:
+            keep = np.flatnonzero(data)
+            W.data, W.indices = data[keep], indices[keep]
+            W.indptr = np.searchsorted(keep, indptr).astype(indptr.dtype)
+        else:
+            W.data, W.indices, W.indptr = data, indices, indptr
         C = PuT @ (W @ self.P)
-        return C + C.T
+        if self.dim * self.dim > self.DENSE_CELL_LIMIT:
+            S = C + C.T
+            return S if out is None else out + S
+        C = C if isinstance(C, np.ndarray) else C.toarray()
+        if out is None:
+            return C + C.T
+        # C + C^T is summed first: adding C and then C^T to `out` would round
+        # H_ij and H_ji in different orders
+        out += C + C.T
+        return out
 
     def _anchor_pattern(self, tri: np.ndarray):
-        """CSR pattern of W (distinct anchors of `tri` x n_used), the slot in
-        it of each triplet's ab entry then of each ac entry, and P_u^T."""
+        """W (distinct anchors of `tri` x n_used) as a CSR matrix, the column
+        indices and row pointers of its full pattern, the slot in that
+        pattern of each triplet's ab entry then of each ac entry, and P_u^T."""
         n = self.P.shape[0]
         u, row = np.unique(tri[:, 0], return_inverse=True)
         keys, slot = np.unique(np.concatenate((row * n + tri[:, 1], row * n + tri[:, 2])),
@@ -139,7 +172,8 @@ class ConstraintSet:
         indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // n, minlength=u.size))))
         W = sp.csr_matrix((np.zeros(keys.size), keys % n, indptr), shape=(u.size, n))
         Pu = self.P[u]
-        return W, slot, Pu.T if isinstance(Pu, np.ndarray) else Pu.T.tocsr()
+        PuT = Pu.T if isinstance(Pu, np.ndarray) else Pu.T.tocsr()
+        return W, W.indices, W.indptr, slot, PuT
 
     def __len__(self) -> int:
         return self.triplets.shape[0]
@@ -179,10 +213,14 @@ class MarginCache:
 
     derivs() is computed once per update: assigning `margins` (`*=` too)
     drops it, so index writes go to a local array that is assigned back.
+    `statistic` is the exact oracle's running full-set pair statistic,
+    (constraint set, unscaled H, the derivs it was built from), which the
+    solver's gradient_accumulate keeps; None until the first such call.
     """
 
     def __init__(self, margins: np.ndarray):
         self.margins = margins
+        self.statistic = None
 
     @property
     def margins(self) -> np.ndarray:

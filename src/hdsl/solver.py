@@ -4,9 +4,11 @@ Each iteration picks the best forward basis (exact, mini-batch estimated, or
 two-stage heuristic search), compares it with the best away direction over
 the active atoms, steps to the exact minimiser of the objective along the
 chosen direction, and updates the model weights plus the margin cache in O(T).
-The per-iteration cost never touches all d^2 feature pairs: the exact oracle
-accumulates over constraint supports, the approximate oracles over a sampled
-subset of constraints.
+The exact oracle accumulates over constraint supports, and after its first
+call only over the constraints whose loss derivative changed; it makes
+passes over all d^2 feature pairs only while a dense d x d array fits
+ConstraintSet.DENSE_CELL_LIMIT. The approximate oracles accumulate over a
+sampled subset of constraints.
 """
 
 from __future__ import annotations
@@ -29,10 +31,12 @@ from .objective import (
 
 ATOM_DROP_TOL = 1e-12
 # largest tolerated |incremental - fresh| margin at a recompute, relative to
-# max(1, max |m|); float drift over a thousand steps is around 1e-13, so
-# more means the step bookkeeping is wrong
+# max(1, max |m|), and the same for the exact oracle's running pair
+# statistic H; float drift over a thousand steps is around 1e-13, so more
+# means the step bookkeeping is wrong
 MARGIN_DRIFT_TOL = 1e-8
-# margins are recomputed from scratch (and the drift measured) this often
+# margins and the running H are rebuilt from scratch (and their drift
+# measured) this often
 RECOMPUTE_EVERY = 1000
 
 
@@ -88,17 +92,22 @@ class Direction:
 class GradientAccumulators:
     """Sufficient statistics of the gradient for basis scoring.
 
-    H is the symmetric d x d pair matrix (1/|set|) * sum_t g_t (x_t d_t^T +
-    d_t x_t^T) (dense array for small problems, scipy sparse otherwise);
-    diag[i] = H_ii / 2 = (1/|set|) * sum_t g_t x_ti d_ti. Basis scores
-    follow as <P/N_(ij), grad f> = lam * (diag[i] + diag[j] +/- H_ij),
-    read from the upper triangle (i < j).
+    H is the exactly symmetric d x d pair matrix (1/|set|) * sum_t g_t
+    (x_t d_t^T + d_t x_t^T): a dense array when d*d <=
+    ConstraintSet.DENSE_CELL_LIMIT, for full-set and subset statistics
+    alike, and scipy sparse otherwise. diag[i] = H_ii / 2 = (1/|set|) *
+    sum_t g_t x_ti d_ti. Basis scores follow as <P/N_(ij), grad f> =
+    lam * (diag[i] + diag[j] +/- H_ij), read from the upper triangle
+    (i < j). `rows` is the number of constraints the call folded into H:
+    the set size on a fresh build, and on an update of the exact oracle's
+    running statistic the number of loss derivatives that changed.
     """
 
-    def __init__(self, H, count: int):
+    def __init__(self, H, count: int, rows: Optional[int] = None):
         self.H = H
         self.diag = 0.5 * H.diagonal()
         self.count = count
+        self.rows = count if rows is None else rows
 
 
 def gradient_accumulate(
@@ -107,12 +116,44 @@ def gradient_accumulate(
     """Accumulate gradient statistics over a constraint subset (default: all).
 
     Satisfied constraints (zero loss derivative) add nothing; the averages
-    are still taken over the full subset size.
+    are still taken over the full subset size. The full set keeps a running
+    unscaled statistic on the cache: H is linear in the loss derivatives g,
+    so every call after the first adds the statistic of g - g_prev, which
+    costs in proportion to the rows where g changed. The returned H is a
+    scaled copy that later calls leave alone.
     """
     count = len(cs) if subset is None else subset.size
     if count == 0:
         raise ValueError("empty constraint subset")
-    return GradientAccumulators(cs.pair_statistic(cache.derivs(), subset) / count, count)
+    g = cache.derivs()
+    if subset is not None:
+        return GradientAccumulators(cs.pair_statistic(g, subset) / count, count)
+    if cache.statistic is None or cache.statistic[0] is not cs:
+        H, rows = cs.pair_statistic(g), count
+    else:
+        _, H, g_prev = cache.statistic
+        delta = g - g_prev
+        rows = int(np.count_nonzero(delta))
+        if rows:
+            H = cs.pair_statistic(delta, out=H)
+    cache.statistic = (cs, H, g)
+    return GradientAccumulators(H / count, count, rows)
+
+
+def _statistic_drift(cs: ConstraintSet, cache: MarginCache, k: int) -> Optional[float]:
+    """Rebuild the running pair statistic from scratch at the derivatives
+    it was last brought to, and replace it. Returns max|running - fresh|
+    relative to max(1, max|fresh|), or None when there is none, and raises
+    RuntimeError above MARGIN_DRIFT_TOL."""
+    if cache.statistic is None:
+        return None
+    _, H, g = cache.statistic
+    fresh = cs.pair_statistic(g)
+    drift = float(abs(H - fresh).max()) / max(1.0, float(abs(fresh).max()))
+    if drift > MARGIN_DRIFT_TOL:
+        raise RuntimeError(f"pair statistic drifted by {drift:.3e} at iteration {k}")
+    cache.statistic = (cs, fresh, g)
+    return drift
 
 
 def _lex_min_candidate(scores, ii, jj, signs):
@@ -146,12 +187,15 @@ def forward_exact(
     c = acc.diag
 
     if isinstance(acc.H, np.ndarray):
-        # small-dimension path: score every pair directly; with i >= j masked
-        # out, the row-major argmin's first hit is the lex-smallest pair
+        # dense H: score every pair directly. H and c_i + c_j are exactly
+        # symmetric, so with the diagonal masked the row-major argmin's
+        # first hit (i, j) has i < j (a hit with j < i would have its equal
+        # (j, i) in an earlier row), and it is the lex-smallest pair
         H = acc.H
-        scores = lam * (c[:, None] + c[None, :] - np.abs(H))
-        idx = np.arange(dim)
-        scores[idx[:, None] >= idx] = np.inf
+        scores = np.add.outer(c, c)
+        scores -= np.abs(H)
+        scores *= lam
+        np.fill_diagonal(scores, np.inf)
         i, j = divmod(int(np.argmin(scores)), dim)
         basis = BasisId(i, j, NEG if H[i, j] > 0 else POS)
         score = scores[i, j]
@@ -282,7 +326,7 @@ def away_direction(state: "SolverState", acc: Optional[GradientAccumulators] = N
 
     gamma_max is alpha/(1-alpha); a single-atom model cannot take an away
     step, so its gamma_max is 0. Pass full-set accumulators (exact oracle)
-    on the dense path to score all atoms with one lookup into H instead of
+    with a dense H to score all atoms with one lookup into H instead of
     one score per stored inner-product vector.
     """
     ii, jj, signs = state.bases.T
@@ -459,6 +503,15 @@ def _gap_rounding(cache: MarginCache, fwd: Direction) -> float:
     return -float(np.finfo(np.float64).eps * bound / cache.count)
 
 
+def _gap_rounding_cap(cs: ConstraintSet, lam: float) -> float:
+    """A bound on _gap_rounding for any model of `cs`: |l'| <= 1, and every
+    margin and basis inner product is lam (x_i +/- x_j)(d_i +/- d_j), at most
+    m_max = 8 lam max|P|^2, so the term is at most 2 eps m_max T. Doubled,
+    so that rounding in the margins themselves cannot carry it past."""
+    m_max = 8.0 * lam * float(abs(cs.P).max()) ** 2
+    return 4.0 * float(np.finfo(np.float64).eps) * m_max * len(cs)
+
+
 def _full_score(cache: MarginCache, rows: np.ndarray, vals: np.ndarray) -> float:
     """<B, grad f> over the full constraint set, from B's sparse inner products."""
     return float(cache.derivs()[rows] @ vals) / cache.count if rows.size else 0.0
@@ -496,6 +549,7 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
     if cs.dim < 2:
         raise ValueError("need at least two features")
     rng = np.random.default_rng(cfg.seed)
+    rounding_cap = _gap_rounding_cap(cs, cfg.lam)
 
     state = SolverState.from_model(cs, Model(cfg.lam, cs.dim, {BasisId(0, 1, POS): 1.0}))
     d0, _ = _forward_direction(cs, state.cache, cfg, rng)
@@ -507,13 +561,14 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
     stale_evals = 0
 
     for k in range(cfg.max_iters):
-        drift = None
+        drift = stat_drift = None
         if k > 0 and k % RECOMPUTE_EVERY == 0:
             fresh = init_cache(cs, state.model).margins
             drift = float(np.max(np.abs(state.cache.margins - fresh)))
             if drift > MARGIN_DRIFT_TOL * max(1.0, float(np.max(np.abs(fresh)))):
                 raise RuntimeError(f"margin cache drifted by {drift:.3e} at iteration {k}")
             state.cache.margins = fresh
+            stat_drift = _statistic_drift(cs, state.cache, k)
 
         fwd, acc = _forward_direction(cs, state.cache, cfg, rng)
         gap = fw_gap(state, fwd)
@@ -527,11 +582,16 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
         }
         if drift is not None:
             record["drift"] = drift
+        if acc is not None:
+            record["stat_rows"] = acc.rows
+        if stat_drift is not None:
+            record["stat_drift"] = stat_drift
         # the gap certifies optimality only when the forward basis is the
         # global argmin; sampled oracles give a noisy underestimate. A gap
         # within its rounding error is zero.
         gap_converged = cfg.oracle == "exact" and (
-            gap <= cfg.gap_tol or gap <= _gap_rounding(state.cache, fwd)
+            gap <= cfg.gap_tol
+            or (gap <= rounding_cap and gap <= _gap_rounding(state.cache, fwd))
         )
 
         if cfg.val_fn is not None and k % cfg.eval_every == 0:

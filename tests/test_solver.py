@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hdsl.model import NEG, POS, BasisId, Model
+import hdsl.solver as solver_mod
+from hdsl.model import NEG, POS, BasisId, Model, serialize
 from hdsl.objective import ConstraintSet, MarginCache, init_cache, objective, smoothed_hinge_deriv
 from hdsl.solver import (
     Direction,
@@ -24,6 +25,8 @@ from hdsl.solver import (
     line_search,
     lipschitz_constant,
     train,
+    _gap_rounding,
+    _gap_rounding_cap,
     _partner_scores,
 )
 from hdsl.sparse_data import Dataset, SparseVector
@@ -132,8 +135,10 @@ class TestPairStatistic:
                 cache = MarginCache(rng.uniform(-0.5, 1.5, size=T))
                 for subset in subsets:
                     acc = gradient_accumulate(cs, cache, subset)
-                    assert isinstance(acc.H, np.ndarray) == (limit is None)
-                    H = acc.H if limit is None else acc.H.toarray()
+                    # H is dense whenever d*d fits, whatever form P has
+                    dense_h = limit != "DENSE_CELL_LIMIT"
+                    assert isinstance(acc.H, np.ndarray) == dense_h
+                    H = acc.H if dense_h else acc.H.toarray()
                     G = dense_gradient(cs, cache.margins, subset)
                     np.testing.assert_allclose(H, G + G.T, rtol=0, atol=1e-12)
                     np.testing.assert_allclose(acc.diag, np.diag(G), rtol=0, atol=1e-12)
@@ -142,7 +147,7 @@ class TestPairStatistic:
     @pytest.mark.parametrize("sparse", [False, True])
     def test_exactly_symmetric(self, sparse, monkeypatch):
         if sparse:
-            monkeypatch.setattr(ConstraintSet, "DENSE_DIM_LIMIT", 0)
+            monkeypatch.setattr(ConstraintSet, "DENSE_CELL_LIMIT", 0)
         rng = np.random.default_rng(17)
         for cs in (self.edge_instance(rng, 12), self.disjoint_instance(rng, 12)):
             cache = MarginCache(rng.uniform(-0.5, 1.5, size=len(cs)))
@@ -155,7 +160,7 @@ class TestPairStatistic:
     @pytest.mark.parametrize("sparse", [False, True])
     def test_satisfied_subset_gives_zero(self, sparse, monkeypatch):
         if sparse:
-            monkeypatch.setattr(ConstraintSet, "DENSE_DIM_LIMIT", 0)
+            monkeypatch.setattr(ConstraintSet, "DENSE_CELL_LIMIT", 0)
         rng = np.random.default_rng(18)
         cs = self.edge_instance(rng, 9)
         margins = rng.uniform(-0.5, 0.5, size=len(cs))
@@ -168,14 +173,29 @@ class TestPairStatistic:
         np.testing.assert_array_equal(acc.diag, np.zeros(9))
 
     def test_result_survives_later_calls(self, monkeypatch):
-        monkeypatch.setattr(ConstraintSet, "DENSE_DIM_LIMIT", 0)
+        monkeypatch.setattr(ConstraintSet, "DENSE_CELL_LIMIT", 0)
         rng = np.random.default_rng(15)
         cs = self.edge_instance(rng, 10)
         first = MarginCache(rng.uniform(-0.5, 1.5, size=len(cs)))
         acc = gradient_accumulate(cs, first)
         before = acc.H.toarray()
         gradient_accumulate(cs, MarginCache(rng.uniform(-0.5, 1.5, size=len(cs))))
+        # and an update of the running statistic on the same cache
+        first.margins = rng.uniform(-0.5, 1.5, size=len(cs))
+        gradient_accumulate(cs, first)
         np.testing.assert_array_equal(acc.H.toarray(), before)
+
+    def test_dense_result_survives_running_updates(self):
+        rng = np.random.default_rng(15)
+        cs = self.edge_instance(rng, 10)
+        cache = MarginCache(rng.uniform(-0.5, 1.5, size=len(cs)))
+        acc = gradient_accumulate(cs, cache)
+        assert isinstance(acc.H, np.ndarray)
+        before = acc.H.copy()
+        for _ in range(3):
+            cache.margins = rng.uniform(-0.5, 1.5, size=len(cs))
+            gradient_accumulate(cs, cache)
+        np.testing.assert_array_equal(acc.H, before)
 
     def test_empty_subset_rejected(self):
         rng = np.random.default_rng(16)
@@ -184,7 +204,131 @@ class TestPairStatistic:
             gradient_accumulate(cs, MarginCache(np.zeros(len(cs))), np.zeros(0, dtype=np.int64))
 
 
+class TestRunningStatistic:
+    """The exact oracle's running full-set statistic, kept on the cache:
+    each call after the first adds the statistic of the change in g."""
+
+    def to_dense(self, H):
+        return H if isinstance(H, np.ndarray) else H.toarray()
+
+    @pytest.mark.parametrize("limit", [None, "DENSE_DIM_LIMIT", "DENSE_CELL_LIMIT"])
+    def test_matches_fresh_build(self, limit, monkeypatch):
+        # no limit: P and H dense; DENSE_DIM_LIMIT: sparse P, dense H (the
+        # recovery benchmark's form); DENSE_CELL_LIMIT: both sparse
+        if limit is not None:
+            monkeypatch.setattr(ConstraintSet, limit, 0)
+        sparse = limit == "DENSE_CELL_LIMIT"
+        rng = np.random.default_rng(91)
+        pair = TestPairStatistic()
+        for cs in (pair.edge_instance(rng, 12), pair.disjoint_instance(rng, 12)):
+            assert sp.issparse(cs.P) == (limit is not None)
+            T = len(cs)
+            cache = MarginCache(rng.uniform(-0.5, 1.5, size=T))
+            g_prev = None
+            for step in range(40):
+                acc = gradient_accumulate(cs, cache)
+                assert isinstance(acc.H, np.ndarray) != sparse
+                g = cache.derivs()
+                expected_rows = T if g_prev is None else np.count_nonzero(g != g_prev)
+                assert acc.rows == expected_rows
+                running = self.to_dense(cache.statistic[1])
+                fresh = self.to_dense(cs.pair_statistic(g))
+                np.testing.assert_allclose(running, fresh, rtol=0, atol=1e-12)
+                np.testing.assert_array_equal(running, running.T)
+                H = self.to_dense(acc.H)
+                np.testing.assert_array_equal(H, H.T)
+                np.testing.assert_allclose(H, fresh / T, rtol=0, atol=1e-12)
+                # next state: a solver-like rescale, or new values on a
+                # random share of the rows (none, some, or all of them)
+                g_prev, m = g, cache.margins.copy()
+                if step % 3 == 0:
+                    m *= rng.uniform(0.5, 1.0)
+                else:
+                    rows = rng.choice(T, size=int(rng.integers(0, T + 1)), replace=False)
+                    m[rows] = rng.uniform(-0.5, 1.5, size=rows.size)
+                cache.margins = m
+
+    def test_two_trains_on_one_set_give_the_same_model(self, monkeypatch):
+        monkeypatch.setattr(solver_mod, "RECOMPUTE_EVERY", 25)
+        rng = np.random.default_rng(92)
+        cs = random_instance(rng, 15, T=60)
+        cfg = SolverConfig(lam=3.0, max_iters=120, gap_tol=0.0)
+        m1, h1 = train(cs, cfg)
+        m2, h2 = train(cs, cfg)
+        m3, _ = train(ConstraintSet(cs.dataset, cs.triplets), cfg)
+        assert serialize(m1) == serialize(m2) == serialize(m3)
+        assert h1 == h2
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_corrupted_statistic_raises_at_recompute(self, sparse, monkeypatch):
+        if sparse:
+            monkeypatch.setattr(ConstraintSet, "DENSE_CELL_LIMIT", 0)
+        monkeypatch.setattr(solver_mod, "RECOMPUTE_EVERY", 5)
+        exact_accumulate = solver_mod.gradient_accumulate
+        calls = []
+
+        def corrupting(cs, cache, subset=None):
+            acc = exact_accumulate(cs, cache, subset)
+            calls.append(1)
+            if len(calls) == 6:  # iteration 4: after its H was read
+                H = cache.statistic[1]
+                if sparse:
+                    H.data[0] += 1.0
+                else:
+                    H[0, 1] += 1.0
+            return acc
+
+        monkeypatch.setattr(solver_mod, "gradient_accumulate", corrupting)
+        cs = random_instance(np.random.default_rng(86), 15, T=40)
+        with pytest.raises(RuntimeError, match="pair statistic drifted"):
+            train(cs, SolverConfig(lam=2.0, max_iters=35, gap_tol=0.0))
+        assert len(calls) == 6  # the start, then iterations 0-4
+
+    def test_recompute_replaces_running_with_fresh(self):
+        rng = np.random.default_rng(93)
+        cs = random_instance(rng, 12, T=50)
+        cache = MarginCache(rng.uniform(-0.5, 1.5, size=len(cs)))
+        for _ in range(5):
+            gradient_accumulate(cs, cache)
+            cache.margins = cache.margins * 0.9
+        gradient_accumulate(cs, cache)
+        drift = solver_mod._statistic_drift(cs, cache, 5)
+        assert 0.0 <= drift <= 1e-12
+        np.testing.assert_array_equal(cache.statistic[1], cs.pair_statistic(cache.derivs()))
+        assert solver_mod._statistic_drift(cs, MarginCache(cache.margins), 5) is None
+
+    def test_history_reports_rows_and_drift(self, monkeypatch):
+        monkeypatch.setattr(solver_mod, "RECOMPUTE_EVERY", 10)
+        cs = random_instance(np.random.default_rng(86), 15, T=40)
+        _, history = train(cs, SolverConfig(lam=2.0, max_iters=35, gap_tol=0.0))
+        assert all(0 <= h["stat_rows"] <= len(cs) for h in history)
+        drifts = {h["k"]: h["stat_drift"] for h in history if "stat_drift" in h}
+        assert sorted(drifts) == [10, 20, 30]
+        assert all(0.0 <= v <= 1e-12 for v in drifts.values())
+        cfg = SolverConfig(lam=2.0, max_iters=35, oracle="minibatch", batch_size=10)
+        _, history = train(cs, cfg)
+        assert not any("stat_rows" in h or "stat_drift" in h for h in history)
+
+
 class TestForwardExact:
+    def test_dense_scan_matches_masked_upper_triangle(self):
+        # small integers make ties everywhere; the scan that masked i >= j
+        # is the reference for the one that masks the diagonal only
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            dim = int(rng.integers(2, 10))
+            A = rng.integers(-2, 3, size=(dim, dim)).astype(float)
+            acc = GradientAccumulators(A + A.T, count=1)
+            lam = float(rng.choice([0.5, 1.0, 3.0]))
+            got = forward_exact(acc, lam, dim)
+            c, H = acc.diag, acc.H
+            scores = lam * (c[:, None] + c[None, :] - np.abs(H))
+            idx = np.arange(dim)
+            scores[idx[:, None] >= idx] = np.inf
+            i, j = divmod(int(np.argmin(scores)), dim)
+            assert got.basis == BasisId(i, j, NEG if H[i, j] > 0 else POS)
+            assert got.score == scores[i, j]
+
     def test_single_negative_cross_term(self):
         acc = acc_from_maps({}, {(0, 1): -1.0}, dim=4)
         d = forward_exact(acc, lam=1.0, dim=4)
@@ -680,6 +824,30 @@ class TestFwGap:
             assert gap == pytest.approx(expected, abs=1e-10)
 
 
+class TestGapRoundingCap:
+    def test_cap_bounds_the_rounding_term(self):
+        rng = np.random.default_rng(61)
+        for _ in range(20):
+            dim = int(rng.integers(4, 20))
+            cs = random_instance(rng, dim, T=int(rng.integers(5, 40)))
+            lam = float(rng.uniform(0.5, 5))
+            cache = init_cache(cs, random_model(rng, dim, int(rng.integers(1, 6)), lam))
+            fwd = forward_exact(gradient_accumulate(cs, cache), lam, dim, cs=cs)
+            assert 0.0 <= _gap_rounding(cache, fwd) <= _gap_rounding_cap(cs, lam)
+
+    def test_margin_bound_is_tight(self):
+        # x_a = e0 + e1 and d = x_b - x_c = 2 (e0 + e1) give
+        # lam (x_0 + x_1)(d_0 + d_1) = 8 lam max|P|^2 on the basis (0, 1, Pos)
+        ds = Dataset([sv([(0, 1.0), (1, 1.0)], 3), sv([(0, 1.0), (1, 1.0)], 3),
+                      sv([(0, -1.0), (1, -1.0)], 3)])
+        cs = ConstraintSet(ds, np.array([[0, 1, 2]]))
+        lam = 1.5
+        cache = init_cache(cs, Model(lam, 3, {BasisId(0, 1, POS): 1.0}))
+        eps = np.finfo(np.float64).eps
+        assert cache.margins[0] == 8 * lam
+        assert _gap_rounding_cap(cs, lam) == 4 * eps * 8 * lam * len(cs)
+
+
 class TestGapCertifiesSuboptimality:
     def test_gap_upper_bounds_distance_to_optimum(self):
         # f is convex, so <M - B_F, grad f(M)> >= f(M) - f(M*); check against
@@ -741,8 +909,10 @@ class TestTrain:
         with pytest.raises(ValueError):
             train(cs, SolverConfig(lam=1.0))
 
-    def test_exact_oracle_on_large_dimension_sparse_path(self):
-        # d above the dense-views threshold exercises the sparse scan in train
+    def test_exact_oracle_on_large_dimension_sparse_path(self, monkeypatch):
+        # d above the dense-views threshold gives a sparse P; a zero cell
+        # limit also keeps H sparse, which exercises the sparse scan in train
+        monkeypatch.setattr(ConstraintSet, "DENSE_CELL_LIMIT", 0)
         rng = np.random.default_rng(84)
         cs = random_instance(rng, 600, T=50, n_points=30)
         assert sp.issparse(gradient_accumulate(cs, MarginCache(np.zeros(len(cs)))).H)
@@ -751,6 +921,17 @@ class TestTrain:
         assert all(a >= b - 1e-12 for a, b in zip(objs, objs[1:]))
         for h in history:
             assert h["atoms"] <= h["k"] + 1
+        model.check_invariants()
+
+    def test_exact_oracle_dense_statistic_over_sparse_points(self):
+        # d = 600: P is sparse, and H is dense since d*d fits the cell limit
+        rng = np.random.default_rng(84)
+        cs = random_instance(rng, 600, T=50, n_points=30)
+        assert sp.issparse(cs.P)
+        assert isinstance(gradient_accumulate(cs, MarginCache(np.zeros(len(cs)))).H, np.ndarray)
+        model, history = train(cs, SolverConfig(lam=5.0, max_iters=40))
+        objs = [h["objective"] for h in history]
+        assert all(a >= b - 1e-12 for a, b in zip(objs, objs[1:]))
         model.check_invariants()
 
     def test_gap_zero_up_to_rounding_stops(self):
