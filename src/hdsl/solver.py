@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
+import scipy.sparse as sp
 
 from .model import NEG, POS, BasisId, Model, atom_arrays, check_atoms
 from .objective import (
@@ -250,11 +251,13 @@ def _partner_scores(
     i: int,
     diag: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """Scores of the best-signed basis (i, j) for every partner j, plus signs.
+    """Scores of the best-signed basis (i, j) for every partner j, and h.
 
     Row i of the pair matrix over the active triplets `tri` (local point
     indices) with loss derivatives g is h = v^T P: triplet t adds
-    g_t d_ti to v[a], g_t x_ti to v[b] and -g_t x_ti to v[c].
+    g_t d_ti to v[a], g_t x_ti to v[b] and -g_t x_ti to v[c]. The sign
+    of partner j is Neg where h_j > 0, Pos otherwise; callers read it at
+    their pick only.
     """
     col = cs._feature_column(i)
     a, b, c = tri.T
@@ -264,11 +267,13 @@ def _partner_scores(
         np.concatenate((a, b, c)), weights=np.concatenate((di, xi, -xi)), minlength=col.size
     )
     nz = np.flatnonzero(v)
-    h = cs.P[nz].T @ v[nz] / count
-    scores = lam * (diag[i] + diag - np.abs(h))
+    h = cs.P[nz].T @ v[nz]
+    h /= count
+    scores = diag + diag[i]
+    scores -= np.abs(h)
+    scores *= lam
     scores[i] = np.inf
-    signs = np.where(h > 0, NEG, POS)
-    return scores, signs
+    return scores, h
 
 
 def forward_heuristic(
@@ -284,8 +289,8 @@ def forward_heuristic(
 
     Per stage: O(M) to bin the batch's active triplets onto their points,
     O(n_used) for the feature column, O(sum of nnz of the touched point
-    rows) for the partner scores and O(d) to rank them; the mini-batch
-    oracle pays O(M s^2) instead.
+    rows) for the partner row h, and O(d) for a scores array scaled in
+    place and ranked, with no sign array; minibatch pays O(M s^2) instead.
     """
     if dim < 2:
         raise ValueError("need at least two features")
@@ -304,48 +309,38 @@ def forward_heuristic(
         diag = np.bincount(xd.indices, weights=xd.data * w, minlength=cs.dim) / count
 
     i0 = int(rng.integers(dim))
-    scores1, signs1 = _partner_scores(cs, tri, g_active, count, lam, i0, diag)
+    scores1, _ = _partner_scores(cs, tri, g_active, count, lam, i0, diag)
     j1 = int(np.argmin(scores1))
-    scores2, signs2 = _partner_scores(cs, tri, g_active, count, lam, j1, diag)
+    scores2, h2 = _partner_scores(cs, tri, g_active, count, lam, j1, diag)
     j2 = int(np.argmin(scores2))
 
-    basis = BasisId(min(j1, j2), max(j1, j2), int(signs2[j2]))
+    basis = BasisId(min(j1, j2), max(j1, j2), NEG if h2[j2] > 0 else POS)
     rows, vals = cs.pair_inners(basis.i, basis.j, basis.sign, lam)
-    return Direction(
-        kind="F",
-        basis=basis,
-        gamma_max=1.0,
-        score=float(scores2[j2]),
-        inner_rows=rows,
-        inner_vals=vals,
-    )
+    return Direction("F", basis, 1.0, float(scores2[j2]), rows, vals)
 
 
 def away_direction(state: "SolverState", acc: Optional[GradientAccumulators] = None) -> Direction:
     """Argmax of <B, grad f> over the active atoms (full constraint set).
 
     gamma_max is alpha/(1-alpha); a single-atom model cannot take an away
-    step, so its gamma_max is 0. Pass full-set accumulators (exact oracle)
-    with a dense H to score all atoms with one lookup into H instead of
-    one score per stored inner-product vector.
+    step, so its gamma_max is 0. The scores are one product A g / T over
+    the atoms' stacked inner products, or one lookup into H when given
+    full-set accumulators (exact oracle) with a dense H.
     """
     ii, jj, signs = state.bases.T
     if acc is not None and isinstance(acc.H, np.ndarray):
         scores = state.lam * (acc.diag[ii] + acc.diag[jj] + signs * acc.H[ii, jj])
     else:
-        scores = np.array([_full_score(state.cache, r, v) for r, v in state.inners])
+        scores = state.A @ state.cache.derivs()
+        scores /= state.cache.count
     # argmax with ties to the smallest (i, j, Pos<Neg)
     k = _lex_min_candidate(-scores, ii, jj, signs)
-    rows, vals = state.inners[k]
+    row = slice(*state.A.indptr[k : k + 2])
     alpha = float(state.alpha[k])
-    return Direction(
-        kind="A",
-        basis=BasisId._make(state.bases[k].tolist()),
-        gamma_max=0.0 if state.n_atoms == 1 else alpha / (1.0 - alpha),
-        score=float(scores[k]),
-        inner_rows=rows,
-        inner_vals=vals,
-    )
+    gamma_max = 0.0 if state.n_atoms == 1 else alpha / (1.0 - alpha)
+    basis = BasisId._make(state.bases[k].tolist())
+    rows, vals = state.A.indices[row], state.A.data[row]
+    return Direction("A", basis, gamma_max, float(scores[k]), rows, vals)
 
 
 def choose_direction(fwd: Direction, away: Direction, cache: MarginCache) -> Direction:
@@ -412,24 +407,27 @@ def line_search(cache: MarginCache, d: Direction) -> float:
 class SolverState:
     """The active set and the margin cache, owned by the solver.
 
-    Atoms are parallel arrays in insertion order: `bases` (K x 3 rows of
-    i, j, sign), weights `alpha` and `inners`, each atom's per-constraint
-    <A^t, B> values as sparse (rows, vals). `model` builds a Model from them.
+    Atoms are parallel in insertion order: `bases` (K x 3 rows of i, j,
+    sign), weights `alpha`, and `A`, the K x T CSR matrix whose row k holds
+    atom k's per-constraint <A^t, B> values, so that one product A g scores
+    every atom. `model` builds a Model from them.
     """
 
     lam: float
     dim: int
     bases: np.ndarray
     alpha: np.ndarray
-    inners: List[Tuple[np.ndarray, np.ndarray]]
+    A: sp.csr_matrix
     cache: MarginCache
 
     @classmethod
     def from_model(cls, cs: ConstraintSet, model: Model) -> "SolverState":
         i, j, sign, alpha = atom_arrays(model)
         bases = np.stack([i, j, sign], axis=1)
-        inners = [cs.pair_inners(*b, model.lam) for b in bases.tolist()]
-        return cls(model.lam, model.dim, bases, alpha, inners, init_cache(cs, model))
+        A = sp.csr_matrix((0, len(cs)))
+        for b in bases.tolist():
+            A = _append_row(A, *cs.pair_inners(*b, model.lam))
+        return cls(model.lam, model.dim, bases, alpha, A, init_cache(cs, model))
 
     @property
     def model(self) -> Model:
@@ -444,6 +442,14 @@ class SolverState:
     @property
     def n_features(self) -> int:
         return len(set(self.bases[:, :2].ravel().tolist()))
+
+
+def _append_row(A: sp.csr_matrix, rows: np.ndarray, vals: np.ndarray) -> sp.csr_matrix:
+    """A with one more row, whose entries are (rows, vals)."""
+    return sp.csr_matrix(
+        (np.append(A.data, vals), np.append(A.indices, rows), np.append(A.indptr, A.nnz + rows.size)),
+        shape=(A.shape[0] + 1, A.shape[1]),
+    )
 
 
 def apply_step(state: SolverState, d: Direction, gamma: float) -> None:
@@ -464,7 +470,7 @@ def apply_step(state: SolverState, d: Direction, gamma: float) -> None:
         else:
             alpha = np.append(alpha, gamma)
             state.bases = np.vstack([state.bases, d.basis])
-            state.inners.append((d.inner_rows, d.inner_vals))
+            state.A = _append_row(state.A, d.inner_rows, d.inner_vals)
     elif d.kind == "A":
         if not hit.size:
             raise ValueError(f"away step from {d.basis}, which is not an active atom")
@@ -478,7 +484,7 @@ def apply_step(state: SolverState, d: Direction, gamma: float) -> None:
         raise RuntimeError("all atoms removed; step bookkeeping is inconsistent")
     if not keep.all():
         alpha, state.bases = alpha[keep], state.bases[keep]
-        state.inners = [x for x, k in zip(state.inners, keep) if k]
+        state.A = state.A[keep]
     total = sum(alpha.tolist())
     if total != 1.0:
         alpha /= total
@@ -572,14 +578,8 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
 
         fwd, acc = _forward_direction(cs, state.cache, cfg, rng)
         gap = fw_gap(state, fwd)
-        obj = objective(state.cache)
-        record = {
-            "k": k,
-            "objective": obj,
-            "gap": gap,
-            "atoms": state.n_atoms,
-            "features": state.n_features,
-        }
+        record = {"k": k, "objective": objective(state.cache), "gap": gap,
+                  "atoms": state.n_atoms, "features": state.n_features}
         if drift is not None:
             record["drift"] = drift
         if acc is not None:

@@ -33,6 +33,7 @@ from hdsl.sparse_data import Dataset, SparseVector
 
 from util import (
     basis_score,
+    batch_diag,
     brute_force_forward,
     dense_gradient,
     dense_triplet_rows,
@@ -41,6 +42,9 @@ from util import (
     random_sparse_dataset,
     random_triplets,
     reference_apply_step,
+    reference_away_pick,
+    reference_forward_heuristic,
+    reference_partner_scores,
     solver_state,
 )
 
@@ -510,16 +514,79 @@ class TestForwardHeuristic:
             G = dense_gradient(cs, margins, subset=batch)
             H, diag = G + G.T, np.diag(G)
             for i in range(15):
-                scores, signs = _partner_scores(
+                scores, h = _partner_scores(
                     cs, cs.local[active], g[active], batch.size, lam, i, diag
                 )
                 want = lam * (diag[i] + diag - np.abs(H[i]))
                 want[i] = np.inf
                 np.testing.assert_allclose(scores, want, rtol=0, atol=1e-12)
+                # the pick's sign is Neg exactly where h > 0
                 clear = np.abs(H[i]) > 1e-12
-                np.testing.assert_array_equal(signs[clear], np.where(H[i] > 0, NEG, POS)[clear])
+                np.testing.assert_array_equal((h > 0)[clear], (H[i] > 0)[clear])
                 if not any_active:
-                    assert np.all(signs == POS)
+                    assert not np.any(h > 0)
+
+    @staticmethod
+    def integer_instance(rng, sparse, monkeypatch):
+        """Small-integer points and margins in {-1, 0.5, 2}, so that the
+        loss derivatives are -1, -0.5 or 0 and partner scores tie often."""
+        if sparse:
+            monkeypatch.setattr(ConstraintSet, "DENSE_DIM_LIMIT", 0)
+        dim, n, T = 12, 16, 60
+        pts = []
+        for _ in range(n):
+            idx = np.sort(rng.choice(dim, size=int(rng.integers(1, 5)), replace=False))
+            pts.append(SparseVector(idx, rng.choice([-2.0, -1.0, 1.0, 2.0], size=idx.size), dim))
+        cs = ConstraintSet(Dataset(pts, dim=dim), random_triplets(rng, n, T))
+        assert isinstance(cs.P, np.ndarray) != sparse
+        return cs, MarginCache(rng.choice([-1.0, 0.5, 2.0], size=T))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_partner_scores_match_reference_bits(self, sparse, monkeypatch):
+        # the scores are bit for bit the reference's, whose sign array says
+        # Neg exactly where h > 0; some stage picks a partner with h = 0
+        rng = np.random.default_rng(37)
+        zero_picks = 0
+        for _ in range(20):
+            cs, cache = self.integer_instance(rng, sparse, monkeypatch)
+            g = cache.derivs()
+            batch = np.sort(rng.choice(len(cs), size=20, replace=False))
+            active = batch[g[batch] != 0.0]
+            diag = batch_diag(cs, g, active, batch.size)
+            for i in range(cs.dim):
+                args = (cs, cs.local[active], g[active], batch.size, 1.5, i, diag)
+                scores, h = _partner_scores(*args)
+                want, signs = reference_partner_scores(*args)
+                assert np.array_equal(scores, want)
+                np.testing.assert_array_equal(np.where(h > 0, NEG, POS), signs)
+                zero_picks += h[int(np.argmin(scores))] == 0.0
+        assert zero_picks > 0
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_pick_matches_reference(self, sparse, monkeypatch):
+        rng = np.random.default_rng(38)
+        for seed in range(40):
+            cs, cache = self.integer_instance(rng, sparse, monkeypatch)
+            d = forward_heuristic(cs, cache, 20, np.random.default_rng(seed), 1.5, cs.dim)
+            basis, score = reference_forward_heuristic(
+                cs, cache, 20, np.random.default_rng(seed), 1.5
+            )
+            assert d.basis == basis
+            assert d.score == score
+
+    def test_pick_with_zero_cross_term_is_pos(self):
+        # feature 2 carries diag -4.5 and feature 4 diag -0.5, and no point
+        # holds both: from any start the search ends on (2, 4) with h = 0
+        # at the pick, which makes the sign Pos
+        ds = Dataset([sv([(2, 3.0)], 6), sv([(2, 3.0)], 6), sv([], 6),
+                      sv([(4, 1.0)], 6), sv([(4, 1.0)], 6)])
+        cs = ConstraintSet(ds, np.array([[0, 1, 2], [3, 4, 2]]))
+        cache = MarginCache(np.zeros(2))
+        for seed in range(12):
+            d = forward_heuristic(cs, cache, 2, np.random.default_rng(seed), 1.5, 6)
+            basis, score = reference_forward_heuristic(cs, cache, 2, np.random.default_rng(seed), 1.5)
+            assert d.basis == basis == BasisId(2, 4, POS)
+            assert d.score == score == -7.5
 
     def test_seed_reproducibility(self):
         rng = np.random.default_rng(35)
@@ -528,6 +595,43 @@ class TestForwardHeuristic:
         d1 = forward_heuristic(cs, cache, 20, np.random.default_rng(9), 1.0, 20)
         d2 = forward_heuristic(cs, cache, 20, np.random.default_rng(9), 1.0, 20)
         assert d1.basis == d2.basis and d1.score == d2.score
+
+
+class TestMillionFeatures:
+    """The heuristic oracle at d = 10^6 with small T. Points are built
+    directly, about 20 nnz each: 5 features from a shared pool of 40 spread
+    over the whole range, so that pairs interact, and 15 drawn uniformly."""
+
+    DIM = 1_000_000
+
+    @classmethod
+    def instance(cls):
+        rng = np.random.default_rng(92)
+        pool = np.unique(rng.integers(0, cls.DIM, size=40))
+        pts = []
+        for _ in range(80):
+            idx = np.unique(np.concatenate((
+                rng.choice(pool, size=5, replace=False), rng.integers(0, cls.DIM, size=15))))
+            pts.append(SparseVector(idx, rng.uniform(0.1, 1.0, size=idx.size), cls.DIM))
+        cs = ConstraintSet(Dataset(pts, dim=cls.DIM), random_triplets(rng, len(pts), 300))
+        return cs, MarginCache(rng.uniform(-0.5, 1.5, size=len(cs)))
+
+    def test_picks_match_reference(self):
+        cs, cache = self.instance()
+        assert not isinstance(cs.P, np.ndarray)
+        for seed in range(5):
+            d = forward_heuristic(cs, cache, 200, np.random.default_rng(seed), 10.0, self.DIM)
+            basis, score = reference_forward_heuristic(
+                cs, cache, 200, np.random.default_rng(seed), 10.0
+            )
+            assert d.basis == basis and d.score == score
+
+    def test_train_keeps_invariants(self):
+        cs, _ = self.instance()
+        cfg = SolverConfig(lam=10.0, max_iters=20, oracle="heuristic", batch_size=200)
+        model, hist = train(cs, cfg)
+        assert len(hist) == 20
+        model.check_invariants()
 
 
 class TestAwayDirection:
@@ -564,6 +668,32 @@ class TestAwayDirection:
                 ((basis_score(grad, b, m.lam), -b.i, -b.j) for b in m.atoms),
             )
             assert d.score == pytest.approx(best[0], abs=1e-10)
+
+    def test_stacked_scan_matches_per_atom_reference(self):
+        # features 0 and 1 appear in no point, so atom (0, 1, Pos) has no
+        # nonzero inner product: an empty row of A, scored 0. With every
+        # margin satisfied all scores tie at 0 and it is the pick.
+        rng = np.random.default_rng(45)
+        for trial in range(20):
+            dim = int(rng.integers(6, 16))
+            inner = random_sparse_dataset(rng, dim, dim - 2, nonneg=False)
+            pts = [SparseVector(p.indices + 2, p.values, dim) for p in inner]
+            cs = ConstraintSet(Dataset(pts, dim=dim), random_triplets(rng, dim, 30))
+            m = random_model(rng, dim - 2, 6, lam=1.5)
+            atoms = {BasisId(0, 1, POS): 0.1}
+            atoms.update({BasisId(b.i + 2, b.j + 2, b.sign): 0.9 * a for b, a in m.atoms.items()})
+            margins = np.full(30, 3.0) if trial == 0 else None
+            state = solver_state(cs, Model(1.5, dim, atoms), margins=margins)
+            assert state.A.indptr[1] == 0
+            d = away_direction(state)
+            k, scores = reference_away_pick(cs, state)
+            assert d.basis == BasisId._make(state.bases[k].tolist())
+            assert d.score == pytest.approx(scores[k], abs=1e-12)
+            if trial == 0:
+                assert d.basis == BasisId(0, 1, POS) and d.inner_rows.size == 0
+            rows, vals = cs.pair_inners(*d.basis, state.lam)
+            np.testing.assert_array_equal(d.inner_rows, rows)
+            np.testing.assert_array_equal(d.inner_vals, vals)
 
     def test_accumulator_path_matches_inner_products(self):
         rng = np.random.default_rng(44)
@@ -794,6 +924,42 @@ class TestApplyStep:
             assert list(state.model.atoms.items()) == list(atoms.items())
             np.testing.assert_array_equal(state.cache.margins, cache.margins)
         assert {("F", False, False), ("F", True, False), ("A", True, True)} <= kinds
+
+
+    def test_stacked_inners_follow_the_atoms(self):
+        # forward steps to new and to existing atoms, away steps, and drops
+        # to ATOM_DROP_TOL (away at gamma_max, forward at gamma = 1): row k
+        # of A stays the pair_inners of atom k
+        rng = np.random.default_rng(68)
+        dim = 9
+        cs = random_instance(rng, dim, T=40)
+        state = SolverState.from_model(cs, random_model(rng, dim, 4, lam=1.2))
+        kinds = set()
+        for _ in range(300):
+            atoms = state.bases.tolist()
+            if rng.random() < 0.4 and len(atoms) > 1:
+                k = int(rng.integers(len(atoms)))
+                basis, alpha = BasisId(*atoms[k]), float(state.alpha[k])
+                gmax = alpha / (1.0 - alpha)
+                gamma = gmax if rng.random() < 0.3 else float(rng.uniform(0, gmax))
+                kind = "A"
+            else:
+                i, j = sorted(rng.choice(dim, 2, replace=False).tolist())
+                basis = BasisId(i, j, POS if rng.random() < 0.5 else NEG)
+                gmax, kind = 1.0, "F"
+                gamma = 1.0 if rng.random() < 0.03 else float(rng.uniform(0, 0.3))
+            kinds.add((kind, list(basis) in atoms, gamma == gmax))
+            d = Direction(kind, basis, gmax, 0.0, *cs.pair_inners(*basis, state.lam))
+            apply_step(state, d, gamma)
+            A = state.A
+            assert A.shape == (state.n_atoms, len(cs))
+            for k, b in enumerate(state.bases.tolist()):
+                rows, vals = cs.pair_inners(*b, state.lam)
+                lo, hi = A.indptr[k], A.indptr[k + 1]
+                np.testing.assert_array_equal(A.indices[lo:hi], rows)
+                np.testing.assert_array_equal(A.data[lo:hi], vals)
+        assert {("F", False, False), ("F", True, False), ("A", True, True), ("A", True, False)} <= kinds
+        assert ("F", False, True) in kinds or ("F", True, True) in kinds
 
 
 class TestFwGap:

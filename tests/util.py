@@ -78,6 +78,63 @@ def reference_apply_step(atoms: dict, cache: MarginCache, d, gamma: float) -> No
     update_cache_sparse(cache, d.kind, gamma, d.inner_rows, d.inner_vals)
 
 
+def reference_partner_scores(cs: ConstraintSet, tri, g, count, lam, i, diag):
+    """The partner scorer with a sign for every partner: row i of the batch
+    pair matrix h = v^T P, scores lam * (diag[i] + diag - |h|) with
+    scores[i] = inf, and signs Neg where h > 0, Pos elsewhere."""
+    col = cs._feature_column(i)
+    a, b, c = tri.T
+    xi = g * col[a]
+    di = g * (col[b] - col[c])
+    v = np.bincount(
+        np.concatenate((a, b, c)), weights=np.concatenate((di, xi, -xi)), minlength=col.size
+    )
+    nz = np.flatnonzero(v)
+    h = cs.P[nz].T @ v[nz] / count
+    scores = lam * (diag[i] + diag - np.abs(h))
+    scores[i] = np.inf
+    return scores, np.where(h > 0, NEG, POS)
+
+
+def batch_diag(cs: ConstraintSet, g, active, count):
+    """diag[f] = (1/count) * sum over the active triplets of g_t x_tf d_tf."""
+    diag = np.zeros(cs.dim)
+    if active.size:
+        xd = cs.XD[active]
+        w = np.repeat(g[active], np.diff(xd.indptr))
+        diag = np.bincount(xd.indices, weights=xd.data * w, minlength=cs.dim) / count
+    return diag
+
+
+def reference_forward_heuristic(cs: ConstraintSet, cache: MarginCache, size, rng, lam):
+    """forward_heuristic's (basis, score) through reference_partner_scores,
+    drawing the batch and the start feature from rng in the same order."""
+    g = cache.derivs()
+    subset = np.sort(rng.choice(len(cs), size=size, replace=False))
+    active = subset[g[subset] != 0.0]
+    tri, g_active = cs.local[active], g[active]
+    diag = batch_diag(cs, g, active, size)
+    i0 = int(rng.integers(cs.dim))
+    scores1, _ = reference_partner_scores(cs, tri, g_active, size, lam, i0, diag)
+    j1 = int(np.argmin(scores1))
+    scores2, signs2 = reference_partner_scores(cs, tri, g_active, size, lam, j1, diag)
+    j2 = int(np.argmin(scores2))
+    return BasisId(min(j1, j2), max(j1, j2), int(signs2[j2])), float(scores2[j2])
+
+
+def reference_away_pick(cs: ConstraintSet, state: SolverState):
+    """The away scan one atom at a time: each atom's <B, grad f> from its
+    own pair_inners and one dot, then the argmax with ties to the smallest
+    (i, j, Pos<Neg). Returns (atom index, scores)."""
+    g, count = state.cache.derivs(), state.cache.count
+    scores = []
+    for i, j, sign in state.bases.tolist():
+        rows, vals = cs.pair_inners(i, j, sign, state.lam)
+        scores.append(float(g[rows] @ vals) / count if rows.size else 0.0)
+    keys = [(-s, i, j, sign != POS) for s, (i, j, sign) in zip(scores, state.bases.tolist())]
+    return keys.index(min(keys)), np.array(scores)
+
+
 def dense_model_matrix(m: Model) -> np.ndarray:
     out = np.zeros((m.dim, m.dim))
     for b, a in m.atoms.items():
