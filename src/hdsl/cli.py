@@ -53,6 +53,22 @@ def _write_text(path: str, text: str) -> None:
         raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from exc
 
 
+def _out_dir(path: str) -> Path:
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise CliError(f"cannot create {out}: {exc}", EXIT_IO) from exc
+    return out
+
+
+def _solve(cs: ConstraintSet, cfg: SolverConfig):
+    try:
+        return train(cs, cfg)
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_PRECONDITION) from exc
+
+
 def _load_dataset(path: str, dim=None) -> Dataset:
     text = _read_text(path)
     try:
@@ -75,6 +91,8 @@ def _write_history(path: str, history) -> None:
 
 
 def _solver_config(args, T: int, val_fn=None, patience=None) -> SolverConfig:
+    if args.lam is None:
+        raise CliError("--lambda is required with --run", 2)
     batch = args.batch if args.batch else max(1, min(T, 1000))
     try:
         return SolverConfig(
@@ -131,10 +149,7 @@ def cmd_train(args) -> int:
             return -evaluation.knn_error(model, _train, _val, k=_k)
 
     cfg = _solver_config(args, len(cs), val_fn=val_fn)
-    try:
-        model, history = train(cs, cfg)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION) from exc
+    model, history = _solve(cs, cfg)
     _write_text(args.out, serialize(model))
     if args.history:
         _write_history(args.history, history)
@@ -189,11 +204,7 @@ def cmd_project(args) -> int:
 
 def cmd_synth_recovery(args) -> int:
     rng = np.random.default_rng(args.seed)
-    out = Path(args.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"cannot create {out}: {exc}", EXIT_IO) from exc
+    out = _out_dir(args.out_dir)
     try:
         truth = synthetic.gen_truth(args.d, n_bases=args.bases, rng=rng, lam=1.0)
         samples = synthetic.gen_uniform_sparse(args.n, args.d, sparsity=args.sparsity, rng=rng)
@@ -206,8 +217,6 @@ def cmd_synth_recovery(args) -> int:
     result = {"d": args.d, "bases": args.bases, "samples": args.n, "triplets": len(cs)}
 
     if args.run:
-        if args.lam is None:
-            raise CliError("--lambda is required with --run", 2)
         truth_feats = truth.feature_set()
         truth_entries = {(b.i, b.j) for b in truth.atoms}
         trajectory = []
@@ -220,10 +229,7 @@ def cmd_synth_recovery(args) -> int:
 
         cfg = _solver_config(args, len(cs), val_fn=val_fn,
                              patience=args.patience or 10**9)
-        try:
-            model, history = train(cs, cfg)
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_PRECONDITION) from exc
+        model, history = _solve(cs, cfg)
         _write_text(out / "model.hdsl", serialize(model))
         _write_history(out / "history.jsonl", history)
         result.update(
@@ -240,11 +246,7 @@ def cmd_synth_recovery(args) -> int:
 
 def cmd_synth_link(args) -> int:
     rng = np.random.default_rng(args.seed)
-    out = Path(args.out_dir)
-    try:
-        out.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise CliError(f"cannot create {out}: {exc}", EXIT_IO) from exc
+    out = _out_dir(args.out_dir)
     avg_sparsity = args.avg_sparsity
     try:
         samples = synthetic.gen_powerlaw_sparse(
@@ -274,17 +276,12 @@ def cmd_synth_link(args) -> int:
     result = {"d": args.d, "samples": args.n, "links": len(links), "triplets": len(cs)}
 
     if args.run:
-        if args.lam is None:
-            raise CliError("--lambda is required with --run", 2)
 
         def val_fn(model, _s=samples, _links=split["val"]):
             return evaluation.link_auc(model, _s, _links)
 
         cfg = _solver_config(args, len(cs), val_fn=val_fn)
-        try:
-            model, history = train(cs, cfg)
-        except ValueError as exc:
-            raise CliError(str(exc), EXIT_PRECONDITION) from exc
+        model, history = _solve(cs, cfg)
         _write_text(out / "model.hdsl", serialize(model))
         _write_history(out / "history.jsonl", history)
         result.update(

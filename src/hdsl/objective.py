@@ -38,17 +38,15 @@ def smoothed_hinge_deriv(m):
 
 
 class ConstraintSet:
-    """Triplet constraints over a dataset, with precomputed sparse views.
+    """Triplet constraints over a dataset, stored once, as a point view.
 
-    Builds once, in two forms. The point view is what the oracles read:
-    `local` (T x 3 indices into the n_used points some triplet references),
-    those points as rows of `P` and `PT` = P^T; pair_statistic (exact and
-    mini-batch oracles), pair_inners and the heuristic oracle's partner
-    scores work from it. The triplet view holds anchor rows X (T x d),
-    difference rows D = X_b - X_c and XD = X.multiply(D). The heuristic
-    oracle reads XD, whose column sums give its diagonal statistic. X and D
-    are read by lipschitz_constant and, from outside the library, by the
-    benchmark tracer's pair-product counter, which is why they stay.
+    `local` (T x 3) indexes each triplet's a, b, c into the n_used points
+    some triplet references; those points are the rows of `P`, with `PT` =
+    P^T. pair_statistic (exact and mini-batch oracles), pair_inners and the
+    heuristic oracle's partner scores work from them. The one per-triplet
+    matrix is `XD` (T x d CSR), the rows x_a * (x_b - x_c): its column sums
+    over the heuristic's active batch are that oracle's diagonal. The
+    constructor rejects non-finite values in the referenced points.
 
     Form rules: P is dense when d <= DENSE_DIM_LIMIT and n_used*d <=
     DENSE_CELL_LIMIT, and CSR otherwise; the pair statistic H is a dense
@@ -75,30 +73,41 @@ class ConstraintSet:
         self.triplets = arr
         self.dim = dataset.dim
 
-        base = dataset.to_csr()
-        X = base[arr[:, 0]].copy() if arr.size else sp.csr_matrix((0, self.dim))
-        D = (base[arr[:, 1]] - base[arr[:, 2]]).tocsr() if arr.size else sp.csr_matrix((0, self.dim))
-        D.eliminate_zeros()
-        self.X: sp.csr_matrix = X
-        self.D: sp.csr_matrix = D
-        self.XD: sp.csr_matrix = X.multiply(D).tocsr()
+        used, local = np.unique(arr.ravel(), return_inverse=True)
+        # column-major, since pair_inners gathers over whole a, b, c columns
+        self.local: np.ndarray = np.asfortranarray(local.reshape(-1, 3))
+        P = dataset.to_csr()[used]
+        if not np.isfinite(P.data).all():
+            raise ValueError("point values must be finite")
+        a, b, c = self.local.T
+        self.XD: sp.csr_matrix = P[a].multiply(P[b] - P[c]).tocsr()
         self.XD.eliminate_zeros()
-
         # P is dense when d and n_used*d are small, where a BLAS product beats
         # sparse bookkeeping by a wide margin, and CSR otherwise; P^T is kept
         # as CSR too, so a feature column is one row slice of it.
-        used, local = np.unique(arr.ravel(), return_inverse=True)
-        P = base[used]
         if self.dim <= self.DENSE_DIM_LIMIT and used.size * self.dim <= self.DENSE_CELL_LIMIT:
             P = P.toarray()
             PT = P.T
         else:
             PT = P.T.tocsr()
-        # column-major, since pair_inners gathers over whole a, b, c columns
-        self.local: np.ndarray = np.asfortranarray(local.reshape(-1, 3))
-        self.P = P
-        self.PT = PT
+        self.P, self.PT = P, PT
         self._full_pattern = None
+
+    # The triplet view, anchor rows x_a and difference rows x_b - x_c (T x d
+    # CSR each), is not stored: X and D rebuild it on each access. They serve
+    # only perfbench/tracer.py's pair-product counter, and go once that
+    # counter counts the pair statistic's own work.
+    @property
+    def X(self) -> sp.csr_matrix:
+        arr = self.triplets
+        return self.dataset.to_csr()[arr[:, 0]].copy() if arr.size else sp.csr_matrix((0, self.dim))
+
+    @property
+    def D(self) -> sp.csr_matrix:
+        arr, base = self.triplets, self.dataset.to_csr()
+        D = (base[arr[:, 1]] - base[arr[:, 2]]).tocsr() if arr.size else sp.csr_matrix((0, self.dim))
+        D.eliminate_zeros()
+        return D
 
     def _feature_column(self, f: int) -> np.ndarray:
         """Feature f of every referenced point, as a dense n_used vector; a
@@ -199,14 +208,6 @@ class ConstraintSet:
         keep = vals != 0.0
         return rows[keep], vals[keep]
 
-    def lipschitz_constant(self) -> float:
-        """(1/T) * sum_t ||x_t||^2 * ||d_t||^2 (squared Frobenius norms of x d^T)."""
-        if len(self) == 0:
-            raise ValueError("empty constraint set")
-        xn = np.asarray(self.X.multiply(self.X).sum(axis=1)).ravel()
-        dn = np.asarray(self.D.multiply(self.D).sum(axis=1)).ravel()
-        return float(np.mean(xn * dn))
-
 
 class MarginCache:
     """Cached per-constraint margins m_t = <A^t, M>, updated in O(T) per step.
@@ -264,17 +265,12 @@ def update_cache_sparse(cache: MarginCache, kind: str, gamma: float, rows: np.nd
 
     Forward: m <- (1-gamma)*m + gamma*b. Away: m <- (1+gamma)*m - gamma*b.
     """
-    m = cache.margins
-    if kind == "F":
-        m *= 1.0 - gamma
-        if rows.size:
-            m[rows] += gamma * vals
-    elif kind == "A":
-        m *= 1.0 + gamma
-        if rows.size:
-            m[rows] -= gamma * vals
-    else:
+    if kind not in ("F", "A"):
         raise ValueError(f"unknown step kind {kind!r}")
+    step = gamma if kind == "F" else -gamma
+    m = cache.margins
+    m *= 1.0 - step
+    m[rows] += step * vals
     cache.margins = m
 
 

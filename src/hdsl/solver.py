@@ -45,7 +45,8 @@ RECOMPUTE_EVERY = 1000
 class SolverConfig:
     """Knobs for train(); see the README for the oracle trade-offs.
 
-    Step sizes take no knob: line_search is exact. `eval_every` must be >= 1.
+    Step sizes take no knob: line_search is exact. `eval_every` and
+    `patience` must be >= 1 and `max_iters` >= 0.
     """
 
     lam: float
@@ -68,8 +69,9 @@ class SolverConfig:
             raise ValueError(f"unknown oracle {self.oracle!r}")
         if self.oracle in ("minibatch", "heuristic") and self.batch_size <= 0:
             raise ValueError("batch_size must be positive for sampled oracles")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
+        for name, low in (("eval_every", 1), ("patience", 1), ("max_iters", 0)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be >= {low}")
 
 
 @dataclass
@@ -518,11 +520,6 @@ def _gap_rounding_cap(cs: ConstraintSet, lam: float) -> float:
     return 4.0 * float(np.finfo(np.float64).eps) * m_max * len(cs)
 
 
-def _full_score(cache: MarginCache, rows: np.ndarray, vals: np.ndarray) -> float:
-    """<B, grad f> over the full constraint set, from B's sparse inner products."""
-    return float(cache.derivs()[rows] @ vals) / cache.count if rows.size else 0.0
-
-
 def _forward_direction(
     cs: ConstraintSet, cache: MarginCache, cfg: SolverConfig, rng: np.random.Generator
 ) -> Tuple[Direction, Optional[GradientAccumulators]]:
@@ -534,7 +531,8 @@ def _forward_direction(
         d = forward_minibatch(cs, cache, cfg.lam, min(cfg.batch_size, len(cs)), rng)
     else:
         d = forward_heuristic(cs, cache, min(cfg.batch_size, len(cs)), rng, cfg.lam, cs.dim)
-    d.score = _full_score(cache, d.inner_rows, d.inner_vals)
+    # <B, grad f> over the full constraint set, from B's sparse inner products
+    d.score = float(cache.derivs()[d.inner_rows] @ d.inner_vals) / cache.count
     return d, acc
 
 
@@ -627,8 +625,16 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
 
 
 def lipschitz_constant(cs: ConstraintSet) -> float:
-    """Gradient Lipschitz constant L = (1/T) * sum_t ||A^t||_F^2."""
-    return cs.lipschitz_constant()
+    """Gradient Lipschitz constant L = (1/T) * sum_t ||A^t||_F^2 = (1/T) *
+    sum_t ||x_t||^2 * ||d_t||^2, from the referenced points as CSR rows."""
+    if len(cs) == 0:
+        raise ValueError("empty constraint set")
+    P = sp.csr_matrix(cs.P)
+    a, b, c = cs.local.T
+    D = P[b] - P[c]
+    xn = np.asarray(P.multiply(P).sum(axis=1)).ravel()[a]
+    dn = np.asarray(D.multiply(D).sum(axis=1)).ravel()
+    return float(np.mean(xn * dn))
 
 
 def convergence_bound(lam: float, L: float, k: int) -> float:

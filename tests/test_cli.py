@@ -112,6 +112,43 @@ class TestTrain:
                     "--out", tmp_path / "m.hdsl"])
         assert code == 4
 
+    @pytest.mark.parametrize("flags", [["--val-data", "DATA", "--patience", 0],
+                                       ["--val-data", "DATA", "--patience", -3],
+                                       ["--iters", -1]])
+    def test_bad_stopping_flags_exit_4(self, tmp_path, labeled_file, flags, capsys):
+        flags = [labeled_file if f == "DATA" else f for f in flags]
+        code = run(["train", "--data", labeled_file, "--lambda", 5, *flags,
+                    "--out", tmp_path / "m.hdsl"])
+        assert code == 4
+        assert not (tmp_path / "m.hdsl").exists()
+
+    def test_zero_iters_writes_initial_model(self, tmp_path, labeled_file, capsys):
+        code = run(["train", "--data", labeled_file, "--lambda", 5, "--iters", 0,
+                    "--out", tmp_path / "m.hdsl"])
+        assert code == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["iterations"] == 0 and summary["objective"] is None
+        assert deserialize((tmp_path / "m.hdsl").read_text()).n_atoms == 1
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_point_in_code_exits_4(self, tmp_path, labeled_file, bad, monkeypatch,
+                                              capsys):
+        # the parser rejects non-finite text, so the value is put in after it
+        import hdsl.cli as cli
+
+        def parse_with_bad_value(text, dim=None):
+            ds = parse_libsvm(text, dim=dim)
+            ds.points[1].values[0] = bad
+            return ds
+
+        monkeypatch.setattr(cli, "parse_libsvm", parse_with_bad_value)
+        trip = tmp_path / "t.txt"
+        trip.write_text("0 1 12\n2 3 13\n")
+        code = run(["train", "--data", labeled_file, "--constraints", "file",
+                    "--triplets", trip, "--lambda", 2, "--out", tmp_path / "m.hdsl"])
+        assert code == 4
+        assert "finite" in capsys.readouterr().err
+
     def test_solver_precondition_exit_4(self, tmp_path, capsys):
         # single-class data cannot build random-label constraints
         data = tmp_path / "one.svm"
@@ -216,6 +253,24 @@ class TestSynth:
         metrics = json.loads((out_dir / "metrics.json").read_text())
         assert 0.0 <= metrics["test_auc"] <= 1.0
         assert (out_dir / "links.train.txt").exists()
+
+    def test_recovery_patience_zero_never_stops(self, tmp_path, capsys):
+        models = []
+        for patience in (0, 10**9):
+            out_dir = tmp_path / f"rec{patience}"
+            assert run(["synth", "recovery", "--d", 40, "--bases", 5, "--n", 40,
+                        "--triplets", 100, "--seed", 2, "--out-dir", out_dir, "--run",
+                        "--lambda", 10, "--iters", 25, "--eval-every", 1,
+                        "--patience", patience]) == 0
+            models.append((out_dir / "model.hdsl").read_text())
+            assert json.loads((out_dir / "metrics.json").read_text())["iterations"] == 25
+        assert models[0] == models[1]
+
+    def test_recovery_negative_patience_exits_4(self, tmp_path, capsys):
+        code = run(["synth", "recovery", "--d", 40, "--bases", 5, "--n", 40,
+                    "--triplets", 100, "--seed", 2, "--out-dir", tmp_path / "x", "--run",
+                    "--lambda", 10, "--patience", -3])
+        assert code == 4
 
     def test_run_without_lambda_exits_2(self, tmp_path):
         code = run(["synth", "recovery", "--d", 40, "--bases", 5, "--n", 40,

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hdsl.model import NEG, POS, BasisId, Model, basis_inner
 from hdsl.objective import (
@@ -13,6 +14,8 @@ from hdsl.objective import (
     update_cache_sparse,
 )
 from hdsl.sparse_data import Dataset, SparseVector
+
+from util import reference_triplet_view
 
 
 def sv(pairs, dim):
@@ -176,6 +179,81 @@ class TestPairInners:
                     for got, want in zip(sparse.pair_inners(i, j, sign, 0.7),
                                          dense.pair_inners(i, j, sign, 0.7)):
                         np.testing.assert_array_equal(got, want)
+
+
+def integer_dataset(rng, n, dim, max_nnz=6):
+    """Points with values in {-2, -1, 1, 2}, so that x_b - x_c often cancels
+    to exact zeros on the features b and c share."""
+    pts = []
+    for _ in range(n):
+        nnz = int(rng.integers(1, min(max_nnz, dim) + 1))
+        idx = np.sort(rng.choice(dim, size=nnz, replace=False))
+        pts.append(SparseVector(idx, rng.choice([-2.0, -1.0, 1.0, 2.0], size=nnz), dim))
+    return Dataset(pts, dim=dim)
+
+
+class TestOneView:
+    """The set stores the point view and XD only; XD and the on-demand X and D
+    equal the former triplet-view build bit for bit."""
+
+    @staticmethod
+    def instances(seed):
+        rng = np.random.default_rng(seed)
+        for n, dim, T in ((6, 4, 30), (12, 8, 40), (30, 20, 120), (15, 700, 60)):
+            yield random_constraints(rng, integer_dataset(rng, n, dim), T)
+            yield random_constraints(rng, random_dataset(rng, n, dim), T)
+
+    @staticmethod
+    def assert_same_csr(got, want):
+        assert got.shape == want.shape
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_views_match_former_build(self, sparse, monkeypatch):
+        if sparse:
+            monkeypatch.setattr(ConstraintSet, "DENSE_CELL_LIMIT", 0)
+        cancelled = 0
+        for cs in self.instances(5):
+            assert isinstance(cs.P, np.ndarray) == (not sparse and cs.dim <= 512)
+            X, D, XD = reference_triplet_view(cs)
+            self.assert_same_csr(cs.XD, XD)
+            self.assert_same_csr(cs.X, X)
+            self.assert_same_csr(cs.D, D)
+            base, (_, b, c) = cs.dataset.to_csr(), cs.triplets.T
+            cancelled += (abs(base[b]) + abs(base[c])).nnz - D.nnz
+        assert cancelled > 0  # some x_b - x_c cancelled to exact zeros
+
+    def test_empty_set(self):
+        ds = Dataset([sv([(0, 1.0)], 3), sv([(1, 1.0)], 3)])
+        cs = ConstraintSet(ds, np.zeros((0, 3), dtype=np.int64))
+        for got, want in zip((cs.X, cs.D, cs.XD), reference_triplet_view(cs)):
+            self.assert_same_csr(got, want)
+
+    def test_xd_is_the_only_triplet_matrix(self):
+        rng = np.random.default_rng(6)
+        ds = random_dataset(rng, 10, 30)
+        cs = random_constraints(rng, ds, 50)
+        cs.pair_statistic(np.ones(len(cs)))  # fills the cached full pattern
+        assert "X" not in vars(cs) and "D" not in vars(cs)
+        wide = {name for name, v in vars(cs).items()
+                if sp.issparse(v) or (isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[1] != 3)}
+        assert wide == {"XD", "P", "PT"}
+        assert cs.P.shape[0] < len(cs) and cs.XD.shape[0] == len(cs)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("role", [0, 1, 2])
+    def test_non_finite_point_value_rejected(self, sparse, bad, role, monkeypatch):
+        if sparse:
+            monkeypatch.setattr(ConstraintSet, "DENSE_CELL_LIMIT", 0)
+        pts = [sv([(0, 1.0), (2, 0.5)], 3), sv([(1, 1.0)], 3), sv([(2, 1.0)], 3)]
+        pts[role] = sv([(0, 0.5), (1, bad)], 3)
+        trips = np.array([[0, 1, 2], [1, 2, 0]])
+        with pytest.raises(ValueError, match="finite"):
+            ConstraintSet(Dataset(pts), trips[:1])
+        pts[role] = sv([(0, 0.5), (1, 2.0)], 3)
+        ConstraintSet(Dataset(pts), trips)
 
 
 class TestUpdateCache:

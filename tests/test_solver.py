@@ -44,6 +44,7 @@ from util import (
     reference_apply_step,
     reference_away_pick,
     reference_forward_heuristic,
+    reference_lipschitz,
     reference_partner_scores,
     solver_state,
 )
@@ -1069,6 +1070,20 @@ class TestTrain:
         with pytest.raises(ValueError, match="eval_every"):
             SolverConfig(lam=1.0, eval_every=0)
 
+    @pytest.mark.parametrize("patience", [0, -3])
+    def test_patience_below_one_rejected(self, patience):
+        with pytest.raises(ValueError, match="patience"):
+            SolverConfig(lam=1.0, patience=patience)
+
+    def test_negative_max_iters_rejected(self):
+        with pytest.raises(ValueError, match="max_iters"):
+            SolverConfig(lam=1.0, max_iters=-1)
+
+    def test_zero_max_iters_gives_empty_history(self):
+        cs = random_instance(np.random.default_rng(8), 6, T=20)
+        model, history = train(cs, SolverConfig(lam=2.0, max_iters=0))
+        assert history == [] and model.n_atoms == 1
+
     def test_empty_constraints_rejected(self):
         ds = Dataset([sv([(0, 1.0)], 4), sv([(1, 1.0)], 4)])
         cs = ConstraintSet(ds, np.zeros((0, 3), dtype=np.int64))
@@ -1192,6 +1207,25 @@ class TestBounds:
                 [np.sum(np.outer(X[t], D[t]) ** 2) for t in range(len(cs))]
             )
             assert lipschitz_constant(cs) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_lipschitz_matches_former_formula_bits(self, sparse, monkeypatch):
+        # the former formula summed ||x_t||^2 and ||d_t||^2 over the triplet
+        # view; the point view must give the same bits
+        if sparse:
+            monkeypatch.setattr(ConstraintSet, "DENSE_CELL_LIMIT", 0)
+        rng = np.random.default_rng(92)
+        for dim in (5, 12, 40, 600):
+            for nonneg in (True, False):
+                ds = random_sparse_dataset(rng, 20, dim, max_nnz=max(2, dim // 3), nonneg=nonneg)
+                cs = ConstraintSet(ds, random_triplets(rng, 20, 60))
+                assert isinstance(cs.P, np.ndarray) == (not sparse and dim <= 512)
+                assert lipschitz_constant(cs) == reference_lipschitz(cs)
+
+    def test_lipschitz_empty_set_rejected(self):
+        ds = Dataset([sv([(0, 1.0)], 4), sv([(1, 1.0)], 4)])
+        with pytest.raises(ValueError, match="empty"):
+            lipschitz_constant(ConstraintSet(ds, np.zeros((0, 3), dtype=np.int64)))
 
     def test_convergence_bound_values(self):
         assert convergence_bound(1.0, 4.0, 2) == pytest.approx(16.0)

@@ -8,6 +8,7 @@ check of those paths.
 import math
 
 import numpy as np
+import scipy.sparse as sp
 
 from hdsl.model import NEG, POS, BasisId, Model, to_csr_matrix
 from hdsl.objective import ConstraintSet, MarginCache, smoothed_hinge_deriv, update_cache_sparse
@@ -163,6 +164,28 @@ def dense_triplet_rows(cs: ConstraintSet):
     points = cs.dataset.to_csr().toarray()
     a, b, c = cs.triplets.T
     return points[a], points[b] - points[c]
+
+
+def reference_triplet_view(cs: ConstraintSet):
+    """The triplet view as ConstraintSet once stored it, built with its
+    former expressions: anchor rows X (T x d CSR), difference rows
+    D = X_b - X_c with zeros dropped, and XD = X.multiply(D)."""
+    arr, base = cs.triplets, cs.dataset.to_csr()
+    X = base[arr[:, 0]].copy() if arr.size else sp.csr_matrix((0, cs.dim))
+    D = (base[arr[:, 1]] - base[arr[:, 2]]).tocsr() if arr.size else sp.csr_matrix((0, cs.dim))
+    D.eliminate_zeros()
+    XD = X.multiply(D).tocsr()
+    XD.eliminate_zeros()
+    return X, D, XD
+
+
+def reference_lipschitz(cs: ConstraintSet) -> float:
+    """The former ConstraintSet.lipschitz_constant: (1/T) * sum_t ||x_t||^2
+    ||d_t||^2 as row sums over the triplet view."""
+    X, D, _ = reference_triplet_view(cs)
+    xn = np.asarray(X.multiply(X).sum(axis=1)).ravel()
+    dn = np.asarray(D.multiply(D).sum(axis=1)).ravel()
+    return float(np.mean(xn * dn))
 
 
 def dense_margins(cs: ConstraintSet, m: Model) -> np.ndarray:
