@@ -9,8 +9,6 @@ from .sparse_data import (
     Dataset,
     ParseError,
     SparseVector,
-    TripletConstraint,
-    dot,
     feature_scales,
     parse_libsvm,
     read_triplets,
@@ -27,7 +25,6 @@ from .model import (
     basis_inner,
     deserialize,
     factorize,
-    make_basis,
     project,
     project_dataset,
     serialize,

@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -90,24 +91,32 @@ def _write_history(path: str, history) -> None:
     _write_text(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
-def _solver_config(args, T: int, val_fn=None, patience=None) -> SolverConfig:
+def _solver_config(args, patience=None) -> SolverConfig:
+    """The checked solver settings, from the flags alone (`patience`
+    overrides --patience); a validation hook is attached later with
+    dataclasses.replace."""
     if args.lam is None:
         raise CliError("--lambda is required with --run", 2)
-    batch = args.batch if args.batch else max(1, min(T, 1000))
     try:
         return SolverConfig(
             lam=args.lam,
             max_iters=args.iters,
             oracle=args.oracle,
-            batch_size=min(batch, T),
+            batch_size=args.batch or 1000,
             gap_tol=args.gap_tol,
             seed=args.seed,
-            val_fn=val_fn,
             eval_every=args.eval_every,
-            patience=patience if patience is not None else args.patience,
+            patience=args.patience if patience is None else patience,
         )
     except ValueError as exc:
         raise CliError(str(exc), EXIT_PRECONDITION) from exc
+
+
+def _check_counts(args, *names) -> None:
+    """Count flags must be >= 1; checked before any file is read."""
+    for name in names:
+        if getattr(args, name) < 1:
+            raise CliError(f"--{name.replace('_', '-')} must be >= 1", EXIT_PRECONDITION)
 
 
 def _build_constraints(args, ds: Dataset) -> ConstraintSet:
@@ -117,10 +126,7 @@ def _build_constraints(args, ds: Dataset) -> ConstraintSet:
             return neighbors_triplets(ds, n_targets=args.n_targets, n_impostors=args.n_impostors)
         if args.constraints == "random-label":
             return random_label_triplets(ds, per_instance=args.per_instance, rng=rng)
-        if not args.triplets:
-            raise CliError("--triplets FILE is required with --constraints file", EXIT_PRECONDITION)
-        trips = read_triplets(_read_text(args.triplets))
-        return ConstraintSet(ds, trips)
+        return ConstraintSet(ds, read_triplets(_read_text(args.triplets)))
     except ParseError as exc:
         raise CliError(f"{args.triplets}: {exc}", EXIT_IO) from exc
     except ValueError as exc:
@@ -131,6 +137,10 @@ def _build_constraints(args, ds: Dataset) -> ConstraintSet:
 
 
 def cmd_train(args) -> int:
+    cfg = _solver_config(args)
+    _check_counts(args, "n_targets", "n_impostors", "per_instance", "knn_k")
+    if args.constraints == "file" and not args.triplets:
+        raise CliError("--triplets FILE is required with --constraints file", EXIT_PRECONDITION)
     ds = _load_dataset(args.data, dim=args.dim)
     scales = None
     if args.normalize:
@@ -138,7 +148,6 @@ def cmd_train(args) -> int:
         ds = scale_to_unit_range(ds, scales)
     cs = _build_constraints(args, ds)
 
-    val_fn = None
     if args.val_data:
         val = _load_dataset(args.val_data, dim=ds.dim)
         if args.normalize:
@@ -148,7 +157,7 @@ def cmd_train(args) -> int:
         def val_fn(model, _train=ds, _val=val, _k=k):
             return -evaluation.knn_error(model, _train, _val, k=_k)
 
-    cfg = _solver_config(args, len(cs), val_fn=val_fn)
+        cfg = replace(cfg, val_fn=val_fn)
     model, history = _solve(cs, cfg)
     _write_text(args.out, serialize(model))
     if args.history:
@@ -164,6 +173,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    _check_counts(args, "k")
     model = _load_model(args.model)
     train_ds = _load_dataset(args.train, dim=model.dim)
     test_ds = _load_dataset(args.test, dim=model.dim)
@@ -202,97 +212,85 @@ def cmd_project(args) -> int:
     return 0
 
 
-def cmd_synth_recovery(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    out = _out_dir(args.out_dir)
+def _run_synth(args, generate) -> int:
+    """The synth protocols' one flow: check the flags, generate, write the
+    data files, then with --run train and write the model, history and
+    metrics. `generate(rng)` returns (files, cs, val_fn, report, summary):
+    the data files as {name: text}, the constraint set, the validation
+    hook, a callback from the trained model to (metrics, details), and the
+    summary printed to stdout. The metrics join the summary; the details
+    go to metrics.json only. --patience 0 means never stop."""
+    cfg = _solver_config(args, patience=args.patience or 10**9) if args.run else None
     try:
+        files, cs, val_fn, report, summary = generate(np.random.default_rng(args.seed))
+    except ValueError as exc:
+        raise CliError(str(exc), EXIT_PRECONDITION) from exc
+    out = _out_dir(args.out_dir)
+    files["triplets.txt"] = write_triplets(cs.triplets)
+    for name, text in files.items():
+        _write_text(out / name, text)
+    if cfg is not None:
+        model, history = _solve(cs, replace(cfg, val_fn=val_fn))
+        _write_text(out / "model.hdsl", serialize(model))
+        _write_history(out / "history.jsonl", history)
+        metrics, details = report(model)
+        summary.update(metrics, iterations=len(history), atoms=model.n_atoms)
+        _write_text(out / "metrics.json", json.dumps({**summary, **details}, indent=2) + "\n")
+    print(json.dumps(summary))
+    return 0
+
+
+def cmd_synth_recovery(args) -> int:
+    def generate(rng):
         truth = synthetic.gen_truth(args.d, n_bases=args.bases, rng=rng, lam=1.0)
         samples = synthetic.gen_uniform_sparse(args.n, args.d, sparsity=args.sparsity, rng=rng)
         cs = truth_triplets(samples, truth, alpha=args.alpha, count=args.triplets, rng=rng)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION) from exc
-    _write_text(out / "samples.svm", serialize_libsvm(samples))
-    _write_text(out / "truth.hdsl", serialize(truth))
-    _write_text(out / "triplets.txt", write_triplets(cs.constraint(t) for t in range(len(cs))))
-    result = {"d": args.d, "bases": args.bases, "samples": args.n, "triplets": len(cs)}
-
-    if args.run:
         truth_feats = truth.feature_set()
         truth_entries = {(b.i, b.j) for b in truth.atoms}
         trajectory = []
 
-        def val_fn(model):
-            f_auc = evaluation.feature_recovery_auc(model, truth_feats)
-            e_auc = evaluation.entry_recovery_auc(model, truth_entries)
-            trajectory.append({"feature_auc": f_auc, "entry_auc": e_auc})
-            return f_auc
+        def aucs(model):
+            return {"feature_auc": evaluation.feature_recovery_auc(model, truth_feats),
+                    "entry_auc": evaluation.entry_recovery_auc(model, truth_entries)}
 
-        cfg = _solver_config(args, len(cs), val_fn=val_fn,
-                             patience=args.patience or 10**9)
-        model, history = _solve(cs, cfg)
-        _write_text(out / "model.hdsl", serialize(model))
-        _write_history(out / "history.jsonl", history)
-        result.update(
-            feature_auc=evaluation.feature_recovery_auc(model, truth_feats),
-            entry_auc=evaluation.entry_recovery_auc(model, truth_entries),
-            iterations=len(history),
-            atoms=model.n_atoms,
-            auc_trajectory=trajectory,
-        )
-        _write_text(out / "metrics.json", json.dumps(result, indent=2) + "\n")
-    print(json.dumps({k: v for k, v in result.items() if k != "auc_trajectory"}))
-    return 0
+        def val_fn(model):
+            trajectory.append(aucs(model))
+            return trajectory[-1]["feature_auc"]
+
+        files = {"samples.svm": serialize_libsvm(samples), "truth.hdsl": serialize(truth)}
+        summary = {"d": args.d, "bases": args.bases, "samples": args.n, "triplets": len(cs)}
+        return files, cs, val_fn, lambda m: (aucs(m), {"auc_trajectory": trajectory}), summary
+
+    return _run_synth(args, generate)
 
 
 def cmd_synth_link(args) -> int:
-    rng = np.random.default_rng(args.seed)
-    out = _out_dir(args.out_dir)
-    avg_sparsity = args.avg_sparsity
-    try:
+    def generate(rng):
         samples = synthetic.gen_powerlaw_sparse(
-            args.n, args.d, avg_sparsity=avg_sparsity, exponent=args.exponent, rng=rng
+            args.n, args.d, avg_sparsity=args.avg_sparsity, exponent=args.exponent, rng=rng
         )
         truth = synthetic.gen_truth_frequent(
             args.d, n_bases=args.bases, samples=samples, min_freq=args.min_freq, rng=rng
         )
         links = synthetic.gen_links(samples, truth, n_links=args.links, rng=rng)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION) from exc
-    third = len(links) // 3
-    split = {
-        "train": links[:third],
-        "val": links[third : 2 * third],
-        "test": links[2 * third :],
-    }
-    _write_text(out / "samples.svm", serialize_libsvm(samples))
-    _write_text(out / "truth.hdsl", serialize(truth))
-    for name, part in split.items():
-        _write_text(out / f"links.{name}.txt", "".join(f"{a} {b} {y}\n" for a, b, y in part))
-    try:
+        third = len(links) // 3
+        split = {"train": links[:third], "val": links[third : 2 * third], "test": links[2 * third :]}
         cs = link_triplets(samples, split["train"], rng=rng, per_link=args.per_link)
-    except ValueError as exc:
-        raise CliError(str(exc), EXIT_PRECONDITION) from exc
-    _write_text(out / "triplets.txt", write_triplets(cs.constraint(t) for t in range(len(cs))))
-    result = {"d": args.d, "samples": args.n, "links": len(links), "triplets": len(cs)}
 
-    if args.run:
+        def val_fn(model):
+            return evaluation.link_auc(model, samples, split["val"])
 
-        def val_fn(model, _s=samples, _links=split["val"]):
-            return evaluation.link_auc(model, _s, _links)
+        def report(model):
+            return {"test_auc": evaluation.link_auc(model, samples, split["test"]),
+                    "val_auc": val_fn(model)}, {}
 
-        cfg = _solver_config(args, len(cs), val_fn=val_fn)
-        model, history = _solve(cs, cfg)
-        _write_text(out / "model.hdsl", serialize(model))
-        _write_history(out / "history.jsonl", history)
-        result.update(
-            test_auc=evaluation.link_auc(model, samples, split["test"]),
-            val_auc=evaluation.link_auc(model, samples, split["val"]),
-            iterations=len(history),
-            atoms=model.n_atoms,
-        )
-        _write_text(out / "metrics.json", json.dumps(result, indent=2) + "\n")
-    print(json.dumps(result))
-    return 0
+        files = {"samples.svm": serialize_libsvm(samples), "truth.hdsl": serialize(truth)}
+        for name, part in split.items():
+            files[f"links.{name}.txt"] = "".join(f"{a} {b} {y}\n" for a, b, y in part)
+        summary = {"d": args.d, "samples": args.n, "links": len(links), "triplets": len(cs)}
+        return files, cs, val_fn, report, summary
+
+    return _run_synth(args, generate)
 
 
 def _add_solver_flags(p, lam_required=True):
@@ -314,7 +312,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="learn a similarity from triplet constraints")
     p_train.add_argument("--data", required=True)
     p_train.add_argument("--dim", type=int, default=None)
-    p_train.add_argument("--normalize", action="store_true", help="scale features to [0,1] (train stats)")
+    p_train.add_argument("--normalize", action="store_true",
+                         help="divide each feature by its max |value| in --data, into [-1, 1]")
     p_train.add_argument("--constraints", choices=["neighbors", "random-label", "file"],
                          default="neighbors")
     p_train.add_argument("--triplets", default=None, help="triplet file for --constraints file")

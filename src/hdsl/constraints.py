@@ -11,7 +11,7 @@ import scipy.sparse as sp
 
 from .model import Model, to_csr_matrix
 from .objective import ConstraintSet
-from .sparse_data import Dataset, SparseVector
+from .sparse_data import Dataset
 
 logger = logging.getLogger(__name__)
 
@@ -44,31 +44,22 @@ def ranked_blocks(
         yield block, order[order != block[:, None]].reshape(block.size, -1)
 
 
-def neighbors_triplets(
-    ds: Dataset,
-    n_targets: int = 3,
-    n_impostors: int = 5,
-    sim: Optional[Callable[[SparseVector, SparseVector], float]] = None,
-) -> ConstraintSet:
+def neighbors_triplets(ds: Dataset, n_targets: int = 3, n_impostors: int = 5) -> ConstraintSet:
     """One triplet per (target neighbor, impostor) pair for each instance.
 
     Target neighbors are the n_targets most similar same-label points,
     impostors the n_impostors most similar different-label points, under
-    the base similarity (default: dot product); ties go to the lower index.
-    Instances without enough candidates on either side are skipped with a
-    logged warning count. All n points are ranked RANK_BLOCK at a time, one
-    X[block] X^T product and block x n sort each: O(nnz of the products +
-    n^2 log n) time and O(RANK_BLOCK n) memory. A `sim` callback replaces
-    the product and is called n^2 times.
+    the dot product; ties go to the lower index. Instances without enough
+    candidates on either side are skipped with a logged warning count. All
+    n points are ranked RANK_BLOCK at a time, one X[block] X^T product and
+    block x n sort each: O(nnz of the products + n^2 log n) time and
+    O(RANK_BLOCK n) memory.
     """
     if ds.labels is None:
         raise ValueError("labeled dataset required")
-    n = len(ds)
-    if sim is None:
-        sims_of = similarity_blocks(ds.to_csr())
-    else:
-        def sims_of(block):
-            return np.array([[sim(ds[a], ds[t]) for t in range(n)] for a in block.tolist()])
+    if n_targets < 1 or n_impostors < 1:
+        raise ValueError("n_targets and n_impostors must be >= 1")
+    sims_of = similarity_blocks(ds.to_csr())
     return ConstraintSet(ds, _neighbor_triplets(sims_of, ds.labels, n_targets, n_impostors))
 
 
@@ -100,6 +91,8 @@ def random_label_triplets(
         raise ValueError("labeled dataset required")
     if np.unique(ds.labels).size < 2:
         raise ValueError("need at least two classes")
+    if per_instance < 1:
+        raise ValueError("per_instance must be >= 1")
     rng = rng or np.random.default_rng()
     n = len(ds)
     labels = ds.labels

@@ -33,17 +33,6 @@ class BasisId(NamedTuple):
     sign: int
 
 
-def make_basis(i: int, j: int, sign: int) -> BasisId:
-    """Canonicalize a basis id (i < j enforced; the pair order is symmetric)."""
-    if i == j:
-        raise ValueError("diagonal bases (i == j) are excluded")
-    if sign not in (POS, NEG):
-        raise ValueError("sign must be +1 or -1")
-    if i > j:
-        i, j = j, i
-    return BasisId(int(i), int(j), sign)
-
-
 def basis_sort_key(b: BasisId):
     """Deterministic tie-break order: lexicographic (i, j), Pos before Neg."""
     return (b.i, b.j, 0 if b.sign == POS else 1)

@@ -9,13 +9,13 @@ for a fixed input order.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Union
+from typing import Optional
 
 import numpy as np
 import scipy.sparse as sp
 
 from .model import Model
-from .sparse_data import Dataset, TripletConstraint
+from .sparse_data import Dataset
 
 
 def smoothed_hinge(m):
@@ -58,11 +58,8 @@ class ConstraintSet:
     DENSE_DIM_LIMIT = 512
     DENSE_CELL_LIMIT = 5_000_000
 
-    def __init__(self, dataset: Dataset, triplets: Union[np.ndarray, Sequence[TripletConstraint]]):
-        if isinstance(triplets, np.ndarray):
-            arr = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
-        else:
-            arr = np.array([[t.a, t.b, t.c] for t in triplets], dtype=np.int64).reshape(-1, 3)
+    def __init__(self, dataset: Dataset, triplets: np.ndarray):
+        arr = np.asarray(triplets, dtype=np.int64).reshape(-1, 3)
         n = len(dataset)
         if arr.size:
             if arr.min() < 0 or arr.max() >= n:
@@ -119,9 +116,8 @@ class ConstraintSet:
         col[self.PT.indices[lo:hi]] = self.PT.data[lo:hi]
         return col
 
-    def pair_statistic(self, g: np.ndarray, subset: Optional[np.ndarray] = None, out=None):
-        """sum_t g_t (x_t d_t^T + d_t x_t^T) over all constraints or a subset,
-        added to `out` when one is given.
+    def pair_statistic(self, g: np.ndarray, subset: Optional[np.ndarray] = None):
+        """sum_t g_t (x_t d_t^T + d_t x_t^T) over all constraints or a subset.
 
         This is C + C^T with C = P_u^T (W P): P holds the n_used referenced
         points, P_u the distinct anchors' rows of it, and W (anchors x
@@ -136,9 +132,7 @@ class ConstraintSet:
         them over its active (g_t != 0) triplets, so its cost follows those.
 
         The result is a dense d x d array when d*d <= DENSE_CELL_LIMIT, which
-        adds O(d^2) passes, and CSR otherwise; a dense `out` is updated in
-        place. It is exactly symmetric, and so is `out` after the update if
-        it was before.
+        adds O(d^2) passes, and CSR otherwise. It is exactly symmetric.
         """
         if subset is None:
             if self._full_pattern is None:
@@ -159,16 +153,9 @@ class ConstraintSet:
         else:
             W.data, W.indices, W.indptr = data, indices, indptr
         C = PuT @ (W @ self.P)
-        if self.dim * self.dim > self.DENSE_CELL_LIMIT:
-            S = C + C.T
-            return S if out is None else out + S
-        C = C if isinstance(C, np.ndarray) else C.toarray()
-        if out is None:
-            return C + C.T
-        # C + C^T is summed first: adding C and then C^T to `out` would round
-        # H_ij and H_ji in different orders
-        out += C + C.T
-        return out
+        if self.dim * self.dim <= self.DENSE_CELL_LIMIT and not isinstance(C, np.ndarray):
+            C = C.toarray()
+        return C + C.T
 
     def _anchor_pattern(self, tri: np.ndarray):
         """W (distinct anchors of `tri` x n_used) as a CSR matrix, the column
@@ -186,10 +173,6 @@ class ConstraintSet:
 
     def __len__(self) -> int:
         return self.triplets.shape[0]
-
-    def constraint(self, t: int) -> TripletConstraint:
-        a, b, c = self.triplets[t]
-        return TripletConstraint(a, b, c)
 
     def pair_inners(self, i: int, j: int, sign: int, lam: float):
         """Per-constraint <A^t, B> for basis (i, j, sign), as sparse (rows, values).

@@ -138,7 +138,9 @@ def gradient_accumulate(
         delta = g - g_prev
         rows = int(np.count_nonzero(delta))
         if rows:
-            H = cs.pair_statistic(delta, out=H)
+            # in place for a dense H, with C + C^T summed first: adding C and
+            # then C^T would round H_ij and H_ji in different orders
+            H += cs.pair_statistic(delta)
     cache.statistic = (cs, H, g)
     return GradientAccumulators(H / count, count, rows)
 

@@ -1,4 +1,4 @@
-"""Sparse vectors, labeled datasets and LIBSVM-format I/O.
+"""Sparse vectors, labeled datasets, LIBSVM-format and triplet file I/O.
 
 Points are stored index/value sorted, which keeps dot products and feature
 lookups cheap regardless of the ambient dimension.
@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import io
 import math
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -98,20 +98,6 @@ def diff(u: SparseVector, v: SparseVector) -> SparseVector:
     np.add.at(out_val, inverse, val)
     keep = out_val != 0.0
     return SparseVector(out_idx[keep], out_val[keep], u.dim)
-
-
-def dot(u: SparseVector, v: SparseVector) -> float:
-    """Sparse dot product by merging ordered entries; O(nnz(u)+nnz(v))."""
-    if u.dim != v.dim:
-        raise ValueError("dimension mismatch")
-    if u.nnz == 0 or v.nnz == 0:
-        return 0.0
-    common, iu, iv = np.intersect1d(
-        u.indices, v.indices, assume_unique=True, return_indices=True
-    )
-    if common.size == 0:
-        return 0.0
-    return float(np.dot(u.values[iu], v.values[iv]))
 
 
 class Dataset:
@@ -253,37 +239,19 @@ def scale_to_unit_range(ds: Dataset, scales: Optional[np.ndarray] = None) -> Dat
     return Dataset(points, ds.labels, dim=ds.dim)
 
 
-class TripletConstraint:
-    """Indices (a, b, c) into a Dataset: a should be more similar to b than to c."""
-
-    __slots__ = ("a", "b", "c")
-
-    def __init__(self, a: int, b: int, c: int):
-        if b == c:
-            raise ValueError("similar and dissimilar indices must differ")
-        self.a, self.b, self.c = int(a), int(b), int(c)
-
-    def as_tuple(self):
-        return (self.a, self.b, self.c)
-
-    def __eq__(self, other):
-        if not isinstance(other, TripletConstraint):
-            return NotImplemented
-        return self.as_tuple() == other.as_tuple()
-
-    def __repr__(self):
-        return f"TripletConstraint(a={self.a}, b={self.b}, c={self.c})"
+def write_triplets(triplets: np.ndarray) -> str:
+    """Triplet text format: one "<a> <b> <c>" line per row of a T x 3
+    array, 0-based."""
+    return "".join(f"{a} {b} {c}\n" for a, b, c in np.asarray(triplets).tolist())
 
 
-def write_triplets(triplets: Iterable[TripletConstraint]) -> str:
-    """Triplet text format: one "<a> <b> <c>" line per constraint, 0-based."""
-    return "".join(f"{t.a} {t.b} {t.c}\n" for t in triplets)
-
-
-def read_triplets(source: Union[str, io.TextIOBase]) -> list:
+def read_triplets(source: Union[str, io.TextIOBase]) -> np.ndarray:
+    """Inverse of write_triplets: a (T, 3) int64 array. Blank lines and '#'
+    comments are allowed; index ranges and b != c are checked by
+    ConstraintSet against its dataset."""
     if isinstance(source, str):
         source = io.StringIO(source)
-    out = []
+    rows = []
     for lineno, raw in enumerate(source, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -292,10 +260,10 @@ def read_triplets(source: Union[str, io.TextIOBase]) -> list:
         if len(parts) != 3:
             raise ParseError("expected three indices", lineno)
         try:
-            a, b, c = (int(p) for p in parts)
+            row = [int(p) for p in parts]
         except ValueError:
             raise ParseError("expected three integers", lineno) from None
-        for i in (a, b, c):
+        for i in row:
             _check_int64(i, "index", lineno)
-        out.append(TripletConstraint(a, b, c))
-    return out
+        rows.append(row)
+    return np.array(rows, dtype=np.int64).reshape(-1, 3)

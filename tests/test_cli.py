@@ -122,6 +122,25 @@ class TestTrain:
         assert code == 4
         assert not (tmp_path / "m.hdsl").exists()
 
+    @pytest.mark.parametrize("flags", [["--iters", -1], ["--patience", 0],
+                                       ["--eval-every", 0], ["--constraints", "file"],
+                                       ["--n-impostors", -1], ["--per-instance", 0],
+                                       ["--val-data", "absent.svm", "--knn-k", 0]])
+    def test_bad_flag_exits_4_before_reading_data(self, tmp_path, flags, capsys):
+        code = run(["train", "--data", tmp_path / "absent.svm", "--lambda", 5, *flags,
+                    "--out", tmp_path / "m.hdsl"])
+        assert code == 4
+        assert list(tmp_path.iterdir()) == []
+
+    def test_triplet_with_b_equal_c_exits_4(self, tmp_path, labeled_file, capsys):
+        trip = tmp_path / "t.txt"
+        trip.write_text("0 1 12\n2 13 13\n")
+        code = run(["train", "--data", labeled_file, "--constraints", "file",
+                    "--triplets", trip, "--lambda", 2, "--out", tmp_path / "m.hdsl"])
+        assert code == 4
+        assert "b != c" in capsys.readouterr().err
+        assert not (tmp_path / "m.hdsl").exists()
+
     def test_zero_iters_writes_initial_model(self, tmp_path, labeled_file, capsys):
         code = run(["train", "--data", labeled_file, "--lambda", 5, "--iters", 0,
                     "--out", tmp_path / "m.hdsl"])
@@ -171,6 +190,12 @@ class TestEval:
         assert {"knn_error", "atoms", "features", "nnz"} <= set(out)
         assert out["k"] == 1
 
+    def test_bad_k_exits_4_before_reading_files(self, tmp_path, capsys):
+        absent = tmp_path / "absent"
+        assert run(["eval", "--model", absent, "--train", absent, "--test", absent,
+                    "--k", 0]) == 4
+        assert "--k must be >= 1" in capsys.readouterr().err
+
     def test_corrupt_model_exits_3(self, tmp_path, labeled_file):
         bad = tmp_path / "bad.hdsl"
         bad.write_text("not a model\n")
@@ -213,6 +238,11 @@ class TestProject:
         proj_path = tmp_path / "p2.svm"
         assert run(["project", "--model", model_path, "--data", data, "--out", proj_path]) == 0
         assert proj_path.read_text() == ""
+
+
+RECOVERY = ["synth", "recovery", "--d", 40, "--bases", 5, "--n", 40, "--triplets", 100]
+LINK = ["synth", "link", "--d", 300, "--n", 60, "--links", 90, "--per-link", 2,
+        "--bases", 10, "--avg-sparsity", 0.06]
 
 
 class TestSynth:
@@ -265,6 +295,29 @@ class TestSynth:
             models.append((out_dir / "model.hdsl").read_text())
             assert json.loads((out_dir / "metrics.json").read_text())["iterations"] == 25
         assert models[0] == models[1]
+
+    def test_link_patience_zero_never_stops(self, tmp_path, capsys):
+        models = []
+        for patience in (0, 10**9):
+            out_dir = tmp_path / f"lnk{patience}"
+            assert run([*LINK, "--seed", 3, "--out-dir", out_dir, "--run", "--lambda", 20,
+                        "--oracle", "heuristic", "--batch", 32,
+                        "--iters", 25, "--eval-every", 1, "--patience", patience]) == 0
+            models.append((out_dir / "model.hdsl").read_text())
+            assert json.loads((out_dir / "metrics.json").read_text())["iterations"] == 25
+        assert models[0] == models[1]
+
+    @pytest.mark.parametrize("protocol", [RECOVERY, LINK], ids=["recovery", "link"])
+    @pytest.mark.parametrize("flags,code", [
+        ([], 2),  # --run without --lambda
+        (["--lambda", 10, "--eval-every", 0], 4),
+        (["--lambda", 10, "--iters", -1], 4),
+        (["--lambda", 10, "--patience", -3], 4),
+    ], ids=["no-lambda", "eval-every-0", "iters-neg", "patience-neg"])
+    def test_bad_flag_exits_before_any_file(self, tmp_path, protocol, flags, code, capsys):
+        out_dir = tmp_path / "out"
+        assert run([*protocol, "--seed", 1, "--out-dir", out_dir, "--run", *flags]) == code
+        assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
     def test_recovery_negative_patience_exits_4(self, tmp_path, capsys):
         code = run(["synth", "recovery", "--d", 40, "--bases", 5, "--n", 40,

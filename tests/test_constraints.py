@@ -6,6 +6,7 @@ from hdsl.constraints import (
     link_triplets,
     neighbors_triplets,
     random_label_triplets,
+    ranked_blocks,
     truth_triplets,
 )
 from hdsl.model import NEG, POS, BasisId, Model
@@ -72,6 +73,13 @@ class TestNeighborsTriplets:
         first = cs.triplets[cs.triplets[:, 0] == 0][0]
         assert first[1] == 1  # lower-index same-label tie winner
 
+    @pytest.mark.parametrize("counts", [(0, 2), (2, -1)])
+    def test_counts_below_one_rejected(self, counts):
+        # a negative count once sliced "all but the last" candidates
+        ds = labeled_blobs(np.random.default_rng(3), per_class=5)
+        with pytest.raises(ValueError, match=">= 1"):
+            neighbors_triplets(ds, n_targets=counts[0], n_impostors=counts[1])
+
     def test_deterministic(self):
         rng = np.random.default_rng(3)
         ds = labeled_blobs(rng)
@@ -102,6 +110,12 @@ class TestRandomLabelTriplets:
             assert b != a
             assert ds.labels[a] == ds.labels[b]
             assert ds.labels[a] != ds.labels[c]
+
+    @pytest.mark.parametrize("per_instance", [0, -2])
+    def test_per_instance_below_one_rejected(self, per_instance):
+        ds = labeled_blobs(np.random.default_rng(4), per_class=5)
+        with pytest.raises(ValueError, match=">= 1"):
+            random_label_triplets(ds, per_instance=per_instance)
 
     def test_single_class_rejected(self):
         ds = Dataset([sv([(0, 1.0)], 3), sv([(1, 1.0)], 3)], labels=[0, 0])
@@ -236,24 +250,20 @@ class TestBlockBuildersMatchReference:
         np.testing.assert_array_equal(got, reference_neighbors_triplets(ds, 4, 2))
         assert 7 not in got[:, 0]
 
-    def test_neighbors_triplets_sim_callback(self):
-        ds = tied_dataset(np.random.default_rng(3), RANK_BLOCK + 10)
-
-        def sim(x, y):  # coarse, so most pairs tie
-            return -float(abs(x.indices.size - y.indices.size))
-
-        got = neighbors_triplets(ds, n_targets=2, n_impostors=2, sim=sim).triplets
-        np.testing.assert_array_equal(got, reference_neighbors_triplets(ds, 2, 2, sim=sim))
-
-    @pytest.mark.parametrize("sim", [
-        lambda x, y: float("nan"),
-        # NaN between two-feature points, a point and itself too
-        lambda x, y: float("nan") if x.indices.size + y.indices.size == 4 else 1.0,
-    ], ids=["all", "some"])
-    def test_nan_similarity_ranks_last(self, sim):
-        ds = tied_dataset(np.random.default_rng(4), RANK_BLOCK + 10)
-        got = neighbors_triplets(ds, n_targets=2, n_impostors=2, sim=sim).triplets
-        np.testing.assert_array_equal(got, reference_neighbors_triplets(ds, 2, 2, sim=sim))
+    @pytest.mark.parametrize("nan_frac", [1.0, 0.3], ids=["all", "some"])
+    def test_nan_similarity_ranks_last(self, nan_frac):
+        rng = np.random.default_rng(4)
+        n = RANK_BLOCK + 10
+        sims = rng.integers(0, 3, size=(n, n)).astype(float)  # coarse, so most pairs tie
+        sims[rng.random((n, n)) < nan_frac] = np.nan  # the diagonal too
+        anchors = rng.permutation(n)
+        blocks = list(ranked_blocks(lambda block: sims[block], anchors))
+        np.testing.assert_array_equal(np.concatenate([b for b, _ in blocks]), anchors)
+        for block, order in blocks:
+            for a, row in zip(block, order):
+                ref = np.argsort(-sims[a], kind="stable")
+                np.testing.assert_array_equal(row, ref[ref != a])
+                assert np.all(np.diff(np.isnan(sims[a, row]).astype(int)) >= 0)
 
     @pytest.mark.parametrize("n", [60, RANK_BLOCK + 60])
     def test_gen_links(self, n):

@@ -10,7 +10,6 @@ from hdsl.model import (
     basis_sort_key,
     deserialize,
     factorize,
-    make_basis,
     project,
     project_dataset,
     serialize,
@@ -64,13 +63,6 @@ def random_vec(rng, d, max_nnz=None):
 
 
 class TestBasisId:
-    def test_canonicalization(self):
-        assert make_basis(3, 1, POS) == BasisId(1, 3, POS)
-        with pytest.raises(ValueError):
-            make_basis(2, 2, POS)
-        with pytest.raises(ValueError):
-            make_basis(0, 1, 3)
-
     def test_sort_key_pos_before_neg(self):
         assert basis_sort_key(BasisId(0, 1, POS)) < basis_sort_key(BasisId(0, 1, NEG))
         assert basis_sort_key(BasisId(0, 1, NEG)) < basis_sort_key(BasisId(0, 2, POS))

@@ -3,13 +3,12 @@ import io
 import numpy as np
 import pytest
 
+from hdsl.objective import ConstraintSet
 from hdsl.sparse_data import (
     Dataset,
     ParseError,
     SparseVector,
-    TripletConstraint,
     diff,
-    dot,
     feature_scales,
     parse_libsvm,
     read_triplets,
@@ -47,31 +46,6 @@ class TestSparseVector:
     def test_dense_round_trip(self):
         v = sv([(0, 1.5), (4, -2.0)], 6)
         assert SparseVector.from_dense(v.to_dense()) == v
-
-
-class TestDot:
-    def test_hand_merge(self):
-        assert dot(sv([(0, 1.0), (2, 3.0)], 4), sv([(2, 2.0)], 4)) == 6.0
-
-    def test_zero_vector(self):
-        assert dot(sv([], 4), sv([(1, 5.0)], 4)) == 0.0
-
-    def test_single_overlap(self):
-        assert dot(sv([(1, 2.0)], 3), sv([(1, 0.5)], 3)) == 1.0
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            dot(sv([(0, 1.0)], 3), sv([(0, 1.0)], 4))
-
-    def test_symmetric_and_matches_dense(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            d = int(rng.integers(2, 40))
-            u = _random_vec(rng, d)
-            v = _random_vec(rng, d)
-            assert dot(u, v) == dot(v, u)
-            expected = float(u.to_dense() @ v.to_dense())
-            assert dot(u, v) == pytest.approx(expected, rel=1e-12, abs=1e-15)
 
 
 def _random_vec(rng, d):
@@ -193,12 +167,22 @@ class TestScaleToUnitRange:
 
 class TestTriplets:
     def test_b_equals_c_rejected(self):
-        with pytest.raises(ValueError):
-            TripletConstraint(0, 1, 1)
+        ds = Dataset([sv([(0, 1.0)], 2), sv([(1, 1.0)], 2)], dim=2)
+        with pytest.raises(ValueError, match="b != c"):
+            ConstraintSet(ds, read_triplets("0 1 0\n1 0 0\n"))
 
     def test_file_round_trip(self):
-        ts = [TripletConstraint(0, 1, 2), TripletConstraint(3, 2, 0)]
-        assert read_triplets(write_triplets(ts)) == ts
+        ts = np.array([[0, 1, 2], [3, 2, 0], [2**62, 0, 7]], dtype=np.int64)
+        got = read_triplets(write_triplets(ts))
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, ts)
+        assert write_triplets(ts) == "0 1 2\n3 2 0\n4611686018427387904 0 7\n"
+
+    @pytest.mark.parametrize("text", ["", "\n# comment only\n"])
+    def test_empty_text_gives_no_rows(self, text):
+        got = read_triplets(text)
+        assert got.shape == (0, 3) and got.dtype == np.int64
+        assert write_triplets(got) == ""
 
     def test_int64_overflow_rejected(self):
         with pytest.raises(ParseError, match="overflows int64") as exc:

@@ -231,17 +231,14 @@ def _ranked(scores, a):
     return order[order != a]
 
 
-def reference_neighbors_triplets(ds, n_targets=3, n_impostors=5, sim=None):
-    """Per-anchor neighbors_triplets: one X x_a product (or n sim calls) and
-    one full sort per point."""
+def reference_neighbors_triplets(ds, n_targets=3, n_impostors=5):
+    """Per-anchor neighbors_triplets: one X x_a product and one full sort per
+    point."""
     X = ds.to_csr()
     labels = ds.labels
     triplets = []
     for a in range(len(ds)):
-        if sim is None:
-            scores = np.asarray((X @ X[a].T).todense()).ravel()
-        else:
-            scores = np.array([sim(ds[a], ds[t]) for t in range(len(ds))])
+        scores = np.asarray((X @ X[a].T).todense()).ravel()
         order = _ranked(scores, a)
         same = order[labels[order] == labels[a]][:n_targets]
         impostors = order[labels[order] != labels[a]][:n_impostors]
