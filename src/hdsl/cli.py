@@ -21,6 +21,7 @@ from .objective import ConstraintSet
 from .sparse_data import (
     Dataset,
     ParseError,
+    SparseVector,
     feature_scales,
     parse_libsvm,
     read_triplets,
@@ -141,6 +142,8 @@ def cmd_train(args) -> int:
     _check_counts(args, "n_targets", "n_impostors", "per_instance", "knn_k")
     if args.constraints == "file" and not args.triplets:
         raise CliError("--triplets FILE is required with --constraints file", EXIT_PRECONDITION)
+    if args.dim is not None and args.dim < 2:
+        raise CliError("--dim must be >= 2", EXIT_PRECONDITION)
     ds = _load_dataset(args.data, dim=args.dim)
     scales = None
     if args.normalize:
@@ -200,14 +203,8 @@ def cmd_project(args) -> int:
     ds = _load_dataset(args.data, dim=model.dim)
     proj = factorize(model)
     rows = project_dataset(proj, ds.to_csr()) if len(ds) else np.zeros((0, proj.n_columns))
-    lines = []
-    for r in range(rows.shape[0]):
-        label = ds.labels[r] if ds.labels is not None else 0
-        feats = " ".join(
-            f"{c + 1}:{rows[r, c]:.17g}" for c in range(rows.shape[1]) if rows[r, c] != 0.0
-        )
-        lines.append(f"{label} {feats}".rstrip())
-    _write_text(args.out, "\n".join(lines) + ("\n" if lines else ""))
+    points = [SparseVector.from_dense(r) for r in rows]
+    _write_text(args.out, serialize_libsvm(Dataset(points, ds.labels, dim=proj.n_columns)))
     print(json.dumps({"points": rows.shape[0], "dimensions": rows.shape[1], "out": args.out}))
     return 0
 

@@ -39,35 +39,65 @@ def basis_sort_key(b: BasisId):
 
 
 class Model:
-    """Convex combination {basis -> weight} with a global scale lambda."""
+    """Convex combination of bases with a global scale lambda. The atoms are
+    read-only arrays in insertion order, `bases` (K x 3 int64 rows of i, j,
+    sign) and weights `alpha`; `atoms` is a new {BasisId: weight} dict."""
 
     def __init__(self, lam: float, dim: int, atoms: Dict[BasisId, float]):
-        if not (0 < lam < math.inf):
-            raise ValueError(f"lambda must be positive and finite, got {lam}")
-        if not atoms:
-            raise ValueError("model needs at least one atom")
-        self.lam = float(lam)
-        self.dim = int(dim)
-        self.atoms = dict(atoms)
+        try:
+            bases = np.array(list(atoms), dtype=np.int64).reshape(-1, 3)
+        except OverflowError:
+            raise ValueError(f"basis index out of range for dim={dim}") from None
+        alpha = np.fromiter(atoms.values(), dtype=np.float64, count=len(atoms))
+        self._adopt(lam, dim, bases, alpha)
+
+    @classmethod
+    def from_arrays(cls, lam: float, dim: int, bases: np.ndarray, alpha: np.ndarray) -> "Model":
+        """A Model over `bases` and `alpha` themselves, not copies; they
+        become read-only, so no later write can change this model."""
+        model = cls.__new__(cls)
+        model._adopt(lam, dim, bases, alpha)
+        return model
+
+    def _adopt(self, lam, dim, bases: np.ndarray, alpha: np.ndarray) -> None:
+        self.lam, self.dim = float(lam), int(dim)
+        self.bases, self.alpha = bases, alpha
+        bases.flags.writeable = alpha.flags.writeable = False
         self.check_invariants()
 
     def check_invariants(self) -> None:
-        try:
-            i, j, _, alpha = atom_arrays(self)
-        except OverflowError:
-            raise ValueError(f"basis index out of range for dim={self.dim}") from None
-        check_atoms(i, j, alpha, self.dim)
+        """Raise ValueError unless lambda is positive and finite and every
+        atom has 0 <= i < j < dim, sign +1 or -1 and a positive weight, with
+        weights that sum in atom order to 1 within WEIGHT_SUM_TOL."""
+        if not (0 < self.lam < math.inf):
+            raise ValueError(f"lambda must be positive and finite, got {self.lam}")
+        alpha = self.alpha
+        if self.bases.shape != (alpha.size, 3):
+            raise ValueError(f"bases of shape {self.bases.shape} for {alpha.size} weights")
+        i, j, sign = self.bases.T
+        bad = np.flatnonzero(~((0 <= i) & (i < j) & (j < self.dim) & (np.abs(sign) == 1)))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"basis ({i[k]}, {j[k]}, sign {sign[k]}) out of range for "
+                             f"dim={self.dim}: needs 0 <= i < j < dim and sign +1 or -1")
+        bad = np.flatnonzero(~(alpha > 0))
+        if bad.size:
+            k = bad[0]
+            raise ValueError(f"atom weight must be positive, got {alpha[k]} for ({i[k]}, {j[k]})")
+        total = sum(alpha.tolist())
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            raise ValueError(f"atom weights sum to {total}, expected 1")
+
+    @property
+    def atoms(self) -> Dict[BasisId, float]:
+        return dict(zip(map(BasisId._make, self.bases.tolist()), self.alpha.tolist()))
 
     @property
     def n_atoms(self) -> int:
-        return len(self.atoms)
+        return self.alpha.size
 
     def feature_set(self) -> set:
-        feats = set()
-        for b in self.atoms:
-            feats.add(b.i)
-            feats.add(b.j)
-        return feats
+        return set(self.bases[:, :2].ravel().tolist())
 
     def __eq__(self, other):
         if not isinstance(other, Model):
@@ -86,33 +116,6 @@ def basis_inner(x: SparseVector, d: SparseVector, b: BasisId, lam: float) -> flo
     return lam * (xi * di + xj * dj + b.sign * (xi * dj + xj * di))
 
 
-def atom_arrays(m: Model):
-    """Atoms as parallel arrays (i, j, sign, alpha) in insertion order."""
-    n = m.n_atoms
-    i = np.fromiter((b.i for b in m.atoms), dtype=np.int64, count=n)
-    j = np.fromiter((b.j for b in m.atoms), dtype=np.int64, count=n)
-    sign = np.fromiter((b.sign for b in m.atoms), dtype=np.int64, count=n)
-    alpha = np.fromiter(m.atoms.values(), dtype=np.float64, count=n)
-    return i, j, sign, alpha
-
-
-def check_atoms(i: np.ndarray, j: np.ndarray, alpha: np.ndarray, dim: int) -> None:
-    """Raise ValueError unless every atom has 0 <= i < j < dim and a positive
-    weight, and the weights, summed in atom order, are 1 within
-    WEIGHT_SUM_TOL."""
-    bad = np.flatnonzero(~((0 <= i) & (i < j) & (j < dim)))
-    if bad.size:
-        k = bad[0]
-        raise ValueError(f"basis ({i[k]}, {j[k]}) out of range for dim={dim}")
-    bad = np.flatnonzero(~(alpha > 0))
-    if bad.size:
-        k = bad[0]
-        raise ValueError(f"atom weight must be positive, got {alpha[k]} for ({i[k]}, {j[k]})")
-    total = sum(alpha.tolist())
-    if abs(total - 1.0) > WEIGHT_SUM_TOL:
-        raise ValueError(f"atom weights sum to {total}, expected 1")
-
-
 def _values_at(x: SparseVector, idx: np.ndarray) -> np.ndarray:
     """x's values at features idx (0.0 where absent); O(len(idx) log nnz)."""
     if x.nnz == 0:
@@ -129,7 +132,7 @@ def similarity(m: Model, x: SparseVector, x2: SparseVector) -> float:
     """
     if x.dim != x2.dim or x.dim != m.dim:
         raise ValueError("dimension mismatch")
-    i, j, sign, alpha = atom_arrays(m)
+    (i, j, sign), alpha = m.bases.T, m.alpha
     xi, xj = _values_at(x, i), _values_at(x, j)
     yi, yj = _values_at(x2, i), _values_at(x2, j)
     return m.lam * float(np.sum(alpha * (xi * yi + xj * yj + sign * (xi * yj + xj * yi))))
@@ -145,8 +148,8 @@ def to_csr_matrix(m: Model) -> sp.csr_matrix:
     result is symmetric with sorted indices.
     """
     d = m.dim
-    i, j, sign, alpha = atom_arrays(m)
-    w = alpha * m.lam
+    i, j, sign = m.bases.T
+    w = m.alpha * m.lam
     rows = np.stack([i, j, i, j], axis=1).ravel()
     cols = np.stack([i, j, j, i], axis=1).ravel()
     vals = np.stack([w, w, sign * w, sign * w], axis=1).ravel()
@@ -185,9 +188,9 @@ class ProjectionMap:
 
 
 def factorize(m: Model) -> ProjectionMap:
-    i, j, sign, alpha = atom_arrays(m)
+    i, j, sign = m.bases.T
     order = np.lexsort((-sign, j, i))  # basis_sort_key order: (i, j), Pos before Neg
-    coeff = np.sqrt(alpha[order] * m.lam)
+    coeff = np.sqrt(m.alpha[order] * m.lam)
     return ProjectionMap(i=i[order], j=j[order], sign=sign[order], coeff=coeff, dim=m.dim)
 
 

@@ -230,8 +230,8 @@ class MarginCache:
 def init_cache(cs: ConstraintSet, m: Model) -> MarginCache:
     """Margins from scratch: sum of per-atom basis inner products."""
     margins = np.zeros(len(cs))
-    for b, a in m.atoms.items():
-        rows, vals = cs.pair_inners(b.i, b.j, b.sign, m.lam)
+    for (i, j, sign), a in zip(m.bases.tolist(), m.alpha.tolist()):
+        rows, vals = cs.pair_inners(i, j, sign, m.lam)
         margins[rows] += a * vals
     return MarginCache(margins)
 

@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .model import NEG, POS, BasisId, Model, atom_arrays, check_atoms
+from .model import NEG, POS, BasisId, Model
 from .objective import (
     ConstraintSet,
     MarginCache,
@@ -331,18 +331,19 @@ def away_direction(state: "SolverState", acc: Optional[GradientAccumulators] = N
     the atoms' stacked inner products, or one lookup into H when given
     full-set accumulators (exact oracle) with a dense H.
     """
-    ii, jj, signs = state.bases.T
+    m = state.model
+    ii, jj, signs = m.bases.T
     if acc is not None and isinstance(acc.H, np.ndarray):
-        scores = state.lam * (acc.diag[ii] + acc.diag[jj] + signs * acc.H[ii, jj])
+        scores = m.lam * (acc.diag[ii] + acc.diag[jj] + signs * acc.H[ii, jj])
     else:
         scores = state.A @ state.cache.derivs()
         scores /= state.cache.count
     # argmax with ties to the smallest (i, j, Pos<Neg)
     k = _lex_min_candidate(-scores, ii, jj, signs)
     row = slice(*state.A.indptr[k : k + 2])
-    alpha = float(state.alpha[k])
-    gamma_max = 0.0 if state.n_atoms == 1 else alpha / (1.0 - alpha)
-    basis = BasisId._make(state.bases[k].tolist())
+    alpha = float(m.alpha[k])
+    gamma_max = 0.0 if m.n_atoms == 1 else alpha / (1.0 - alpha)
+    basis = BasisId._make(m.bases[k].tolist())
     rows, vals = state.A.indices[row], state.A.data[row]
     return Direction("A", basis, gamma_max, float(scores[k]), rows, vals)
 
@@ -409,43 +410,22 @@ def line_search(cache: MarginCache, d: Direction) -> float:
 
 @dataclass
 class SolverState:
-    """The active set and the margin cache, owned by the solver.
+    """The solver's model, its atoms' inner products and the margin cache.
 
-    Atoms are parallel in insertion order: `bases` (K x 3 rows of i, j,
-    sign), weights `alpha`, and `A`, the K x T CSR matrix whose row k holds
-    atom k's per-constraint <A^t, B> values, so that one product A g scores
-    every atom. `model` builds a Model from them.
+    Row k of the K x T CSR matrix `A` holds the per-constraint <A^t, B>
+    values of the model's atom k, so that one product A g scores every atom.
     """
 
-    lam: float
-    dim: int
-    bases: np.ndarray
-    alpha: np.ndarray
+    model: Model
     A: sp.csr_matrix
     cache: MarginCache
 
     @classmethod
     def from_model(cls, cs: ConstraintSet, model: Model) -> "SolverState":
-        i, j, sign, alpha = atom_arrays(model)
-        bases = np.stack([i, j, sign], axis=1)
         A = sp.csr_matrix((0, len(cs)))
-        for b in bases.tolist():
+        for b in model.bases.tolist():
             A = _append_row(A, *cs.pair_inners(*b, model.lam))
-        return cls(model.lam, model.dim, bases, alpha, A, init_cache(cs, model))
-
-    @property
-    def model(self) -> Model:
-        """A new Model of the active set, atoms in insertion order."""
-        atoms = dict(zip(map(BasisId._make, self.bases.tolist()), self.alpha.tolist()))
-        return Model(self.lam, self.dim, atoms)
-
-    @property
-    def n_atoms(self) -> int:
-        return self.alpha.size
-
-    @property
-    def n_features(self) -> int:
-        return len(set(self.bases[:, :2].ravel().tolist()))
+        return cls(model, A, init_cache(cs, model))
 
 
 def _append_row(A: sp.csr_matrix, rows: np.ndarray, vals: np.ndarray) -> sp.csr_matrix:
@@ -457,28 +437,30 @@ def _append_row(A: sp.csr_matrix, rows: np.ndarray, vals: np.ndarray) -> sp.csr_
 
 
 def apply_step(state: SolverState, d: Direction, gamma: float) -> None:
-    """Update atom weights and margins for one accepted step.
+    """Update the model and the margins for one accepted step.
 
     Forward scales every weight by (1-gamma) and adds gamma on the chosen
     basis (appended if new); away scales by (1+gamma) and subtracts. Weights
     at or below the drop tolerance are removed and the rest renormalized by
-    their sum in atom order.
+    their sum in atom order, into a new `state.model`.
     """
     if not 0 <= gamma <= d.gamma_max * (1 + 1e-12) + 1e-15:
         raise ValueError(f"gamma {gamma} outside [0, {d.gamma_max}]")
-    hit = np.flatnonzero((state.bases == d.basis).all(axis=1))
+    m = state.model
+    bases = m.bases
+    hit = np.flatnonzero((bases == d.basis).all(axis=1))
     if d.kind == "F":
-        alpha = state.alpha * (1.0 - gamma)
+        alpha = m.alpha * (1.0 - gamma)
         if hit.size:
             alpha[hit[0]] += gamma
         else:
             alpha = np.append(alpha, gamma)
-            state.bases = np.vstack([state.bases, d.basis])
+            bases = np.vstack([bases, d.basis])
             state.A = _append_row(state.A, d.inner_rows, d.inner_vals)
     elif d.kind == "A":
         if not hit.size:
             raise ValueError(f"away step from {d.basis}, which is not an active atom")
-        alpha = state.alpha * (1.0 + gamma)
+        alpha = m.alpha * (1.0 + gamma)
         alpha[hit[0]] -= gamma
     else:
         raise ValueError(f"unknown direction kind {d.kind!r}")
@@ -487,14 +469,13 @@ def apply_step(state: SolverState, d: Direction, gamma: float) -> None:
     if not keep.any():
         raise RuntimeError("all atoms removed; step bookkeeping is inconsistent")
     if not keep.all():
-        alpha, state.bases = alpha[keep], state.bases[keep]
+        alpha, bases = alpha[keep], bases[keep]
         state.A = state.A[keep]
     total = sum(alpha.tolist())
     if total != 1.0:
         alpha /= total
-    state.alpha = alpha
     update_cache_sparse(state.cache, d.kind, gamma, d.inner_rows, d.inner_vals)
-    check_atoms(state.bases[:, 0], state.bases[:, 1], alpha, state.dim)
+    state.model = Model.from_arrays(m.lam, m.dim, bases, alpha)
 
 
 def fw_gap(state: SolverState, fwd: Direction) -> float:
@@ -579,7 +560,7 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
         fwd, acc = _forward_direction(cs, state.cache, cfg, rng)
         gap = fw_gap(state, fwd)
         record = {"k": k, "objective": objective(state.cache), "gap": gap,
-                  "atoms": state.n_atoms, "features": state.n_features}
+                  "atoms": state.model.n_atoms, "features": len(state.model.feature_set())}
         if drift is not None:
             record["drift"] = drift
         if acc is not None:
@@ -595,12 +576,11 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
         )
 
         if cfg.val_fn is not None and k % cfg.eval_every == 0:
-            model = state.model
-            metric = float(cfg.val_fn(model))
+            metric = float(cfg.val_fn(state.model))
             record["val_metric"] = metric
             if metric > best_val:
                 best_val = metric
-                best_model = model
+                best_model = state.model
                 stale_evals = 0
             else:
                 stale_evals += 1
@@ -620,10 +600,9 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
         if cfg.val_fn is not None and stale_evals >= cfg.patience:
             break
 
-    model = state.model
-    if cfg.val_fn is not None and best_model is not None and float(cfg.val_fn(model)) <= best_val:
+    if best_model is not None and float(cfg.val_fn(state.model)) <= best_val:
         return best_model, history
-    return model, history
+    return state.model, history
 
 
 def lipschitz_constant(cs: ConstraintSet) -> float:

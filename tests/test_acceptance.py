@@ -122,7 +122,7 @@ class TestCriterion3BookkeepingSoundness:
             chosen = choose_direction(fwd, away, state.cache)
             gamma = line_search(state.cache, chosen)
             apply_step(state, chosen, gamma)
-            structural_checks(state.model, k + 1, state.n_features)
+            structural_checks(state.model, k + 1, len(state.model.feature_set()))
         recomputed = init_cache(cs, state.model)
         drift = float(np.max(np.abs(state.cache.margins - recomputed.margins)))
         psd_floor = random_psd_probe(state.model, rng)
@@ -182,7 +182,7 @@ class TestCriterion5StructuralInvariants:
             chosen = choose_direction(fwd, away, state.cache)
             gamma = line_search(state.cache, chosen)
             apply_step(state, chosen, gamma)
-            structural_checks(state.model, k + 1, state.n_features)
+            structural_checks(state.model, k + 1, len(state.model.feature_set()))
         psd_floor = random_psd_probe(state.model, rng, n=100)
         elapsed = time.monotonic() - t0
         report(

@@ -132,6 +132,14 @@ class TestTrain:
         assert code == 4
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("dim", [-5, 0, 1])
+    def test_dim_below_two_exits_4_before_reading_data(self, tmp_path, dim, capsys):
+        code = run(["train", "--data", tmp_path / "absent.svm", "--dim", dim, "--lambda", 5,
+                    "--out", tmp_path / "m.hdsl"])
+        assert code == 4
+        assert "--dim" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_triplet_with_b_equal_c_exits_4(self, tmp_path, labeled_file, capsys):
         trip = tmp_path / "t.txt"
         trip.write_text("0 1 12\n2 13 13\n")

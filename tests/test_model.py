@@ -88,6 +88,41 @@ class TestModelInvariants:
             x = random_vec(rng, 12)
             assert similarity(m, x, x) >= -1e-10
 
+    @pytest.mark.parametrize("sign", [2, 0, -3])
+    def test_sign_other_than_plus_minus_one_rejected(self, sign):
+        with pytest.raises(ValueError, match="sign"):
+            Model(1.0, 4, {BasisId(0, 1, sign): 1.0})
+        with pytest.raises(ValueError, match="sign"):
+            Model.from_arrays(1.0, 4, np.array([[0, 1, sign]]), np.array([1.0]))
+
+    @pytest.mark.parametrize("lam, bases, alpha", [
+        (1.0, [[0, 4, POS]], [1.0]),                  # j >= dim
+        (1.0, [[1, 1, POS]], [1.0]),                  # i == j
+        (1.0, [[0, 1, POS], [0, 2, NEG]], [1.5, -0.5]),  # non-positive weight
+        (1.0, [[0, 1, POS], [0, 2, NEG]], [0.5, 0.4]),   # weights sum to 0.9
+        (np.inf, [[0, 1, POS]], [1.0]),
+        (np.nan, [[0, 1, POS]], [1.0]),
+    ])
+    def test_from_arrays_rejects_what_the_constructor_rejects(self, lam, bases, alpha):
+        atoms = dict(zip(map(BasisId._make, bases), alpha))
+        with pytest.raises(ValueError):
+            Model(lam, 4, atoms)
+        with pytest.raises(ValueError):
+            Model.from_arrays(lam, 4, np.array(bases, dtype=np.int64), np.array(alpha))
+
+    def test_arrays_are_read_only_and_atoms_a_new_dict(self):
+        m = Model(2.0, 5, {BasisId(3, 4, NEG): 0.25, BasisId(0, 1, POS): 0.75})
+        np.testing.assert_array_equal(m.bases, [[3, 4, NEG], [0, 1, POS]])
+        assert m.bases.dtype == np.int64 and m.alpha.tolist() == [0.25, 0.75]
+        with pytest.raises(ValueError):
+            m.alpha[0] = 0.5
+        with pytest.raises(ValueError):
+            m.bases[0, 2] = POS
+        m.atoms[BasisId(0, 1, POS)] = 0.5
+        assert list(m.atoms.items()) == [(BasisId(3, 4, NEG), 0.25), (BasisId(0, 1, POS), 0.75)]
+        assert m == Model(2.0, 5, {BasisId(0, 1, POS): 0.75, BasisId(3, 4, NEG): 0.25})
+        assert m.feature_set() == {0, 1, 3, 4}
+
 
 class TestBasisInner:
     def test_worked_example(self):

@@ -688,11 +688,11 @@ class TestAwayDirection:
             assert state.A.indptr[1] == 0
             d = away_direction(state)
             k, scores = reference_away_pick(cs, state)
-            assert d.basis == BasisId._make(state.bases[k].tolist())
+            assert d.basis == BasisId._make(state.model.bases[k].tolist())
             assert d.score == pytest.approx(scores[k], abs=1e-12)
             if trial == 0:
                 assert d.basis == BasisId(0, 1, POS) and d.inner_rows.size == 0
-            rows, vals = cs.pair_inners(*d.basis, state.lam)
+            rows, vals = cs.pair_inners(*d.basis, state.model.lam)
             np.testing.assert_array_equal(d.inner_rows, rows)
             np.testing.assert_array_equal(d.inner_vals, vals)
 
@@ -826,7 +826,7 @@ class TestApplyStep:
         return cs, solver_state(cs, random_model(rng, dim, n_atoms, lam=lam))
 
     def fwd_direction(self, cs, state, basis):
-        rows, vals = cs.pair_inners(basis.i, basis.j, basis.sign, state.lam)
+        rows, vals = cs.pair_inners(basis.i, basis.j, basis.sign, state.model.lam)
         return Direction("F", basis, 1.0, 0.0, rows, vals)
 
     def test_full_forward_collapses(self):
@@ -835,7 +835,7 @@ class TestApplyStep:
         d = self.fwd_direction(cs, state, BasisId(0, 1, NEG))
         apply_step(state, d, 1.0)
         assert state.model.atoms == {BasisId(0, 1, NEG): 1.0}
-        assert state.n_features == 2
+        assert len(state.model.feature_set()) == 2
 
     def test_zero_forward_is_identity(self):
         rng = np.random.default_rng(62)
@@ -854,7 +854,7 @@ class TestApplyStep:
         target = sorted(state.model.atoms)[0]
         alpha = state.model.atoms[target]
         gmax = alpha / (1 - alpha)
-        rows, vals = cs.pair_inners(*target, state.lam)
+        rows, vals = cs.pair_inners(*target, state.model.lam)
         d = Direction("A", target, gmax, 0.0, rows, vals)
         apply_step(state, d, gmax)
         assert target not in state.model.atoms
@@ -876,7 +876,7 @@ class TestApplyStep:
                 target = sorted(state.model.atoms)[int(rng.integers(state.model.n_atoms))]
                 alpha = state.model.atoms[target]
                 gmax = alpha / (1 - alpha)
-                rows, vals = cs.pair_inners(*target, state.lam)
+                rows, vals = cs.pair_inners(*target, state.model.lam)
                 d = Direction("A", target, gmax, 0.0, rows, vals)
                 gamma = float(rng.uniform(0, gmax))
             else:
@@ -937,10 +937,10 @@ class TestApplyStep:
         state = SolverState.from_model(cs, random_model(rng, dim, 4, lam=1.2))
         kinds = set()
         for _ in range(300):
-            atoms = state.bases.tolist()
+            atoms = state.model.bases.tolist()
             if rng.random() < 0.4 and len(atoms) > 1:
                 k = int(rng.integers(len(atoms)))
-                basis, alpha = BasisId(*atoms[k]), float(state.alpha[k])
+                basis, alpha = BasisId(*atoms[k]), float(state.model.alpha[k])
                 gmax = alpha / (1.0 - alpha)
                 gamma = gmax if rng.random() < 0.3 else float(rng.uniform(0, gmax))
                 kind = "A"
@@ -950,12 +950,12 @@ class TestApplyStep:
                 gmax, kind = 1.0, "F"
                 gamma = 1.0 if rng.random() < 0.03 else float(rng.uniform(0, 0.3))
             kinds.add((kind, list(basis) in atoms, gamma == gmax))
-            d = Direction(kind, basis, gmax, 0.0, *cs.pair_inners(*basis, state.lam))
+            d = Direction(kind, basis, gmax, 0.0, *cs.pair_inners(*basis, state.model.lam))
             apply_step(state, d, gamma)
             A = state.A
-            assert A.shape == (state.n_atoms, len(cs))
-            for k, b in enumerate(state.bases.tolist()):
-                rows, vals = cs.pair_inners(*b, state.lam)
+            assert A.shape == (state.model.n_atoms, len(cs))
+            for k, b in enumerate(state.model.bases.tolist()):
+                rows, vals = cs.pair_inners(*b, state.model.lam)
                 lo, hi = A.indptr[k], A.indptr[k + 1]
                 np.testing.assert_array_equal(A.indices[lo:hi], rows)
                 np.testing.assert_array_equal(A.data[lo:hi], vals)
@@ -1189,6 +1189,34 @@ class TestTrain:
         )
         assert len(history) < 500  # stopped early
         assert model.n_atoms == calls[0]  # best snapshot was the first
+
+
+    def test_validation_snapshots_stay_fixed(self):
+        # later steps append and drop atoms; no step writes into the arrays
+        # of a model it handed out
+        rng = np.random.default_rng(84)
+        cs = random_instance(rng, 15, T=40)
+        seen = []
+
+        def val_fn(model):
+            seen.append((model, model.bases.copy(), model.alpha.copy()))
+            return 0.0
+
+        _, history = train(cs, SolverConfig(lam=5.0, max_iters=200, gap_tol=0.0, val_fn=val_fn,
+                                            eval_every=2, patience=10**6))
+        atoms = [row["atoms"] for row in history]
+        steps = list(zip(atoms, atoms[1:]))
+        assert any(b > a for a, b in steps) and any(b < a for a, b in steps)
+        for model, bases, alpha in seen:
+            np.testing.assert_array_equal(model.bases, bases)
+            np.testing.assert_array_equal(model.alpha, alpha)
+
+    def test_state_model_is_read_only(self):
+        rng = np.random.default_rng(85)
+        cs = random_instance(rng, 8, T=12)
+        state = solver_state(cs, random_model(rng, 8, 3, lam=1.0))
+        with pytest.raises(ValueError):
+            state.model.alpha[0] = 0.5
 
 
 class TestBounds:

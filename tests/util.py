@@ -129,10 +129,10 @@ def reference_away_pick(cs: ConstraintSet, state: SolverState):
     (i, j, Pos<Neg). Returns (atom index, scores)."""
     g, count = state.cache.derivs(), state.cache.count
     scores = []
-    for i, j, sign in state.bases.tolist():
-        rows, vals = cs.pair_inners(i, j, sign, state.lam)
+    for i, j, sign in state.model.bases.tolist():
+        rows, vals = cs.pair_inners(i, j, sign, state.model.lam)
         scores.append(float(g[rows] @ vals) / count if rows.size else 0.0)
-    keys = [(-s, i, j, sign != POS) for s, (i, j, sign) in zip(scores, state.bases.tolist())]
+    keys = [(-s, i, j, sign != POS) for s, (i, j, sign) in zip(scores, state.model.bases.tolist())]
     return keys.index(min(keys)), np.array(scores)
 
 
