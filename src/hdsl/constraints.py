@@ -16,32 +16,84 @@ from .sparse_data import Dataset
 logger = logging.getLogger(__name__)
 
 
-RANK_BLOCK = 256  # anchors per product and sort: about 2n KB per block array
+RANK_BLOCK = 256  # anchors per product and ranking; below 2**15, as block rows are int16
 
 
 def similarity_blocks(X: sp.csr_matrix, M: Optional[sp.csr_matrix] = None):
-    """Callback from a block of row indices to the dense (block x n)
+    """Callback from a block of row indices to the (block x n) CSR
     similarities x_a^T M x_t (M = identity when None): one sparse product
-    per block, each row bit-identical to its single-row product."""
+    per block, each row bit-identical to its single-row product, never
+    densified."""
     left = X if M is None else (X @ M).tocsr()
     XT = X.T.tocsr()
-    return lambda block: (left[block] @ XT).toarray()
+    return lambda block: left[block] @ XT
 
 
 def ranked_blocks(
-    sims_of: Callable[[np.ndarray], np.ndarray], anchors: np.ndarray
-) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    sims_of: Callable[[np.ndarray], sp.csr_matrix], anchors: np.ndarray
+) -> Iterator[Tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]]:
     """Rank every other point for each anchor, RANK_BLOCK anchors at a time.
 
-    Yields (block, order): order[r] holds the n - 1 points other than
-    block[r], most similar first, ties to the lower index and NaN last (a
-    stable sort of the negated similarities). One sims_of call and one
-    block x n sort per block; nothing is kept between blocks.
+    Yields (block, at): at(rows, ranks) broadcasts block-local rows against
+    ranks in [0, n - 1) and returns the point at that rank in the ranking
+    of the n - 1 points other than block[row]: most similar first, ties to
+    the lower index, NaN last. That is the order of a stable sort of the
+    row's negated similarities with the anchor left out.
+
+    sims_of(block) gives the block's similarities as a CSR matrix (or
+    anything sp.csr_matrix takes). Only its stored nonzeros are sorted:
+    the positives fill the first ranks, then the zero class (every column
+    neither stored nor the anchor, in column order), then the negatives
+    and NaN. A block costs O((nnz + queries) log nnz) time and
+    O(nnz + queries) memory; nothing is kept between blocks.
     """
     for lo in range(0, anchors.size, RANK_BLOCK):
         block = anchors[lo : lo + RANK_BLOCK]
-        order = np.argsort(-np.asarray(sims_of(block), dtype=np.float64), axis=1, kind="stable")
-        yield block, order[order != block[:, None]].reshape(block.size, -1)
+        yield block, _block_ranking(sp.csr_matrix(sims_of(block)), block)
+
+
+def _block_ranking(S: sp.csr_matrix, block: np.ndarray):
+    """ranked_blocks' lookup for one block of similarities S (B x n)."""
+    B, n = S.shape
+    row = np.repeat(np.arange(B, dtype=np.int16), np.diff(S.indptr))
+    val = np.asarray(S.data, dtype=np.float64)
+    keep = (val != 0) & (S.indices != block[row])  # NaN != 0 stays
+    row, col, key = row[keep], S.indices[keep].astype(np.int64), -val[keep]
+    # (row, -value, column) order: a value sort, then a stable row sort;
+    # a block with equal values inside a row, or with NaN, takes the exact
+    # lexsort instead
+    order = np.argsort(key, kind="quicksort")
+    order = order[np.argsort(row[order], kind="stable")]
+    r, k = row[order], key[order]
+    if np.isnan(k).any() or np.any((r[1:] == r[:-1]) & (k[1:] == k[:-1])):
+        order = np.lexsort((col, key, row))
+    ranked = col[order]
+    count = np.bincount(row, minlength=B)
+    start = np.concatenate(([0], np.cumsum(count)))
+    n_pos = np.bincount(row[key < 0], minlength=B)
+    n_zero = n - 1 - count
+    # the zero class of row r: the columns not in excl, its stored columns
+    # and the anchor, sorted; free[g] = r*n + (excluded column - its place
+    # in the row) counts the zero-class columns before it, so the k-th
+    # zero-class column is k + (excluded columns with free <= r*n + k)
+    excl = np.sort(np.concatenate((row * np.int64(n) + col, np.arange(B) * n + block)))
+    excl_start = start[:-1] + np.arange(B)
+    free = excl - (np.arange(excl.size) - np.repeat(excl_start, count + 1))
+
+    def at(rows, ranks):
+        rows, ranks = np.broadcast_arrays(np.asarray(rows), np.asarray(ranks))
+        r, j = rows.ravel().astype(np.int64), ranks.ravel()
+        k = j - n_pos[r]
+        zero = (k >= 0) & (k < n_zero[r])
+        out = np.empty(r.size, dtype=np.int64)
+        e = ~zero
+        re, je = r[e], j[e]
+        out[e] = ranked[start[re] + np.where(je < n_pos[re], je, je - n_zero[re])]
+        rz, kz = r[zero], k[zero]
+        out[zero] = kz + np.searchsorted(free, rz * n + kz, side="right") - excl_start[rz]
+        return out.reshape(rows.shape)
+
+    return at
 
 
 def neighbors_triplets(ds: Dataset, n_targets: int = 3, n_impostors: int = 5) -> ConstraintSet:
@@ -49,11 +101,15 @@ def neighbors_triplets(ds: Dataset, n_targets: int = 3, n_impostors: int = 5) ->
 
     Target neighbors are the n_targets most similar same-label points,
     impostors the n_impostors most similar different-label points, under
-    the dot product; ties go to the lower index. Instances without enough
-    candidates on either side are skipped with a logged warning count. All
-    n points are ranked RANK_BLOCK at a time, one X[block] X^T product and
-    block x n sort each: O(nnz of the products + n^2 log n) time and
-    O(RANK_BLOCK n) memory.
+    the dot product; ties go to the lower index, points of similarity zero
+    rank in index order after the positive ones, and NaN ranks last.
+    Instances without enough candidates on either side are skipped with a
+    logged warning count. All n points are ranked RANK_BLOCK at a time by
+    ranked_blocks, one X[block] X^T product each. Each anchor reads the
+    first 4 (n_targets + n_impostors) ranks, and doubles that while it
+    lacks candidates, up to all n - 1: O(nnz log nnz + n w log nnz) time
+    for the nnz stored similarities and w ranks read per anchor, and
+    O(nnz of a block + RANK_BLOCK w) memory.
     """
     if ds.labels is None:
         raise ValueError("labeled dataset required")
@@ -64,19 +120,36 @@ def neighbors_triplets(ds: Dataset, n_targets: int = 3, n_impostors: int = 5) ->
 
 
 def _neighbor_triplets(
-    sims_of: Callable[[np.ndarray], np.ndarray], labels: np.ndarray, n_targets: int, n_impostors: int
+    sims_of: Callable[[np.ndarray], sp.csr_matrix],
+    labels: np.ndarray,
+    n_targets: int,
+    n_impostors: int,
 ) -> np.ndarray:
     """neighbors_triplets' ranking pass, as a T x 3 array; neither a block
     ranking nor the tuple list outlives it."""
     triplets: List[Tuple[int, int, int]] = []
     skipped = 0
-    for block, order in ranked_blocks(sims_of, np.arange(labels.size)):
-        for a, row in zip(block.tolist(), order):
-            same = labels[row] == labels[a]
-            targets, impostors = row[same][:n_targets], row[~same][:n_impostors]
-            if targets.size < n_targets or impostors.size < n_impostors:
+    n = labels.size
+    head = min(n - 1, 4 * (n_targets + n_impostors))
+
+    def pick(a, row):
+        """a's targets and impostors among the ranked points row, or None."""
+        same = labels[row] == labels[a]
+        targets, impostors = row[same][:n_targets], row[~same][:n_impostors]
+        enough = targets.size == n_targets and impostors.size == n_impostors
+        return (targets, impostors) if enough else None
+
+    for block, at in ranked_blocks(sims_of, np.arange(n)):
+        heads = at(np.arange(block.size)[:, None], np.arange(head))
+        for r, a in enumerate(block.tolist()):
+            width, found = head, pick(a, heads[r])
+            while found is None and width < n - 1:
+                width = min(2 * width, n - 1)
+                found = pick(a, at(r, np.arange(width)))
+            if found is None:
                 skipped += 1
                 continue
+            targets, impostors = found
             triplets.extend((a, int(b), int(c)) for b in targets for c in impostors)
     if skipped:
         logger.warning("neighbors_triplets: skipped %d instances with too few candidates", skipped)
@@ -126,11 +199,13 @@ def truth_triplets(
     """Random anchors; b from the top alpha-fraction most similar others
     under the ground-truth model, c from the bottom alpha-fraction.
 
-    Both pools come from one ranking per anchor (ties to the lower index),
-    so they stay disjoint under ties. The unique anchors are ranked
-    RANK_BLOCK at a time, one (X M)[block] X^T product and block x n sort
-    each: O(nnz products + u n log n) time for u unique anchors, with
-    O(RANK_BLOCK n) memory and no pools kept. The draws are the anchors,
+    Both pools come from one ranking per anchor (ties to the lower index,
+    the zero class in index order, NaN last, the anchor left out), so they
+    stay disjoint under ties. The unique anchors are ranked RANK_BLOCK at a
+    time by ranked_blocks, one (X M)[block] X^T product each, and only the
+    two drawn ranks per triplet are read: O((nnz + count) log nnz) time for
+    the nnz stored similarities and O(nnz of a block + count) memory, with
+    no dense block and no pools kept. The draws are the anchors,
     then one rank in each pool per triplet, so the output and the
     generator state equal those of drawing per triplet from stored pools.
     """
@@ -154,9 +229,9 @@ def truth_triplets(
     block_of = inv // RANK_BLOCK
     triplets = np.empty((count, 3), dtype=np.int64)
     triplets[:, 0] = anchors
-    for k, (_, order) in enumerate(ranked_blocks(sims_of, uniq)):
+    for k, (_, at) in enumerate(ranked_blocks(sims_of, uniq)):
         rows = np.flatnonzero(block_of == k)
-        triplets[rows, 1:] = order[inv[rows, None] - k * RANK_BLOCK, picks[rows]]
+        triplets[rows, 1:] = at(inv[rows, None] - k * RANK_BLOCK, picks[rows])
     return ConstraintSet(samples, triplets)
 
 

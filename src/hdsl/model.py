@@ -67,8 +67,9 @@ class Model:
 
     def check_invariants(self) -> None:
         """Raise ValueError unless lambda is positive and finite and every
-        atom has 0 <= i < j < dim, sign +1 or -1 and a positive weight, with
-        weights that sum in atom order to 1 within WEIGHT_SUM_TOL."""
+        atom has 0 <= i < j < dim, sign +1 or -1 and a positive weight, no
+        (i, j, sign) appears twice, and the weights sum in atom order to 1
+        within WEIGHT_SUM_TOL."""
         if not (0 < self.lam < math.inf):
             raise ValueError(f"lambda must be positive and finite, got {self.lam}")
         alpha = self.alpha
@@ -80,6 +81,14 @@ class Model:
             k = bad[0]
             raise ValueError(f"basis ({i[k]}, {j[k]}, sign {sign[k]}) out of range for "
                              f"dim={self.dim}: needs 0 <= i < j < dim and sign +1 or -1")
+        # i*dim + j >= 1, so its sign carries the basis sign: one sorted key
+        key = np.sort((i * self.dim + j) * sign)
+        dup = np.flatnonzero(key[1:] == key[:-1])
+        if dup.size:
+            k = key[dup[0]]
+            i0, j0 = divmod(abs(int(k)), self.dim)
+            raise ValueError(f"basis ({i0}, {j0}, sign {1 if k > 0 else -1}) "
+                             "appears more than once")
         bad = np.flatnonzero(~(alpha > 0))
         if bad.size:
             k = bad[0]

@@ -169,7 +169,9 @@ def gen_links(
     y=+1 when the truth similarity of the pair ranks in the top fraction of
     either endpoint's neighbors, y=-1 for the bottom fraction; pairs
     qualifying for both are dropped. Positive and negative links are
-    sampled in equal numbers.
+    sampled in equal numbers. Ranks come from ranked_blocks, ties to the
+    lower index and the zero class in index order, and only the first t
+    ranks of each row are read, t = ceil(top_frac (n - 1)).
     """
     if not 0.0 < top_frac < 0.5:
         raise ValueError("top_frac must be in (0, 0.5)")
@@ -181,10 +183,11 @@ def gen_links(
     def pairs(rank_of):
         # keys a*n + b (a < b) of each point's t best-ranked partners
         keys = [np.zeros(0, dtype=np.int64)]
-        for block, order in ranked_blocks(rank_of, np.arange(n)):
-            a, b = block[:, None], order[:, :t]
+        for block, at in ranked_blocks(rank_of, np.arange(n)):
+            a, b = block[:, None], at(np.arange(block.size)[:, None], np.arange(t))
             keys.append((np.minimum(a, b) * n + np.maximum(a, b)).ravel())
-        return np.unique(np.concatenate(keys))
+        keys = np.sort(np.concatenate(keys))  # a sort, not np.unique's hash table
+        return keys[np.diff(keys, prepend=-1) != 0]
 
     # ties go to the lower index in both rankings
     pos_keys = pairs(sims_of)

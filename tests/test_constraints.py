@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdsl.constraints import (
     RANK_BLOCK,
@@ -11,9 +16,10 @@ from hdsl.constraints import (
 )
 from hdsl.model import NEG, POS, BasisId, Model
 from hdsl.sparse_data import Dataset, SparseVector
-from hdsl.synthetic import gen_links
+from hdsl.synthetic import gen_links, gen_truth
 
 from util import (
+    _ranked,
     dense_model_matrix,
     random_sparse_dataset,
     reference_gen_links,
@@ -240,6 +246,15 @@ class TestBlockBuildersMatchReference:
         assert len(want) > 0
         np.testing.assert_array_equal(got, want)
 
+    def test_neighbors_triplets_reads_past_the_first_ranks(self):
+        # 40 labels: most anchors find 3 same-label points only beyond the
+        # first 4 * (3 + 2) ranks, some only in the zero class
+        ds = tied_dataset(np.random.default_rng(6), RANK_BLOCK + 40, labels=40)
+        got = neighbors_triplets(ds, n_targets=3, n_impostors=2).triplets
+        want = reference_neighbors_triplets(ds, n_targets=3, n_impostors=2)
+        assert len(want) > 0
+        np.testing.assert_array_equal(got, want)
+
     def test_neighbors_triplets_skips_like_reference(self):
         # a singleton class: its anchor has too few same-label candidates
         ds = tied_dataset(np.random.default_rng(5), 25, labels=2)
@@ -259,8 +274,8 @@ class TestBlockBuildersMatchReference:
         anchors = rng.permutation(n)
         blocks = list(ranked_blocks(lambda block: sims[block], anchors))
         np.testing.assert_array_equal(np.concatenate([b for b, _ in blocks]), anchors)
-        for block, order in blocks:
-            for a, row in zip(block, order):
+        for block, at in blocks:
+            for a, row in zip(block, at(np.arange(block.size)[:, None], np.arange(n - 1))):
                 ref = np.argsort(-sims[a], kind="stable")
                 np.testing.assert_array_equal(row, ref[ref != a])
                 assert np.all(np.diff(np.isnan(sims[a, row]).astype(int)) >= 0)
@@ -275,3 +290,93 @@ class TestBlockBuildersMatchReference:
         assert got == want
         assert all(type(v) is int for link in got for v in link)
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def stored_csr(values, stored, rng):
+    """values[stored] as an n x n CSR matrix that keeps every stored entry,
+    explicit zeros too, with the columns of each row in random order."""
+    rows, cols = np.nonzero(stored)
+    perm = rng.permutation(rows.size)
+    perm = perm[np.argsort(rows[perm], kind="stable")]  # rows grouped, columns shuffled
+    rows, cols = rows[perm], cols[perm]
+    indptr = np.searchsorted(rows, np.arange(values.shape[0] + 1))
+    return sp.csr_matrix((values[rows, cols], cols, indptr), shape=values.shape)
+
+
+def assert_ranks_match_reference(values, stored, anchors, rng):
+    """ranked_blocks over stored_csr(values, stored) answers every rank of
+    every anchor as the stable per-row sort of the dense row does."""
+    n = values.shape[0]
+    S = stored_csr(values, stored, rng)
+    dense = np.where(stored, values, 0.0)
+    blocks = list(ranked_blocks(lambda block: S[block], anchors))
+    np.testing.assert_array_equal(np.concatenate([b for b, _ in blocks]), anchors)
+    for block, at in blocks:
+        want = np.array([_ranked(dense[a], a) for a in block]).reshape(block.size, n - 1)
+        np.testing.assert_array_equal(at(np.arange(block.size)[:, None], np.arange(n - 1)), want)
+        rows, ranks = rng.integers(0, block.size, 50), rng.integers(0, n - 1, 50)
+        np.testing.assert_array_equal(at(rows, ranks), want[rows, ranks])
+
+
+class TestSparseRankKernel:
+    """ranked_blocks' sparse lookup against the per-row stable sort."""
+
+    COARSE = [0.0, -0.0, np.nan, 1.0, -1.0, 0.5, -2.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_stable_sort(self, data):
+        n = data.draw(st.integers(2, 14), label="n")
+        coarse = data.draw(st.booleans(), label="coarse")  # coarse values tie and take the lexsort
+        value = st.sampled_from(self.COARSE) if coarse else st.floats(-4, 4, width=32)
+        cells = st.lists(value, min_size=n * n, max_size=n * n)
+        values = np.array(data.draw(cells, label="values"), dtype=np.float64).reshape(n, n)
+        stored = np.array(data.draw(st.lists(st.booleans(), min_size=n * n, max_size=n * n),
+                                    label="stored")).reshape(n, n)
+        anchors = np.array(data.draw(st.permutations(range(n)), label="anchors"))
+        assert_ranks_match_reference(values, stored, anchors, np.random.default_rng(n))
+
+    def test_listed_cases(self):
+        rng = np.random.default_rng(0)
+        n = 9
+        values = rng.uniform(-1, 1, size=(n, n))
+        stored = rng.random((n, n)) < 0.5
+        values[0, [1, 2, 5]] = [0.0, -0.0, 0.0]  # explicit zeros, stored
+        stored[0, [1, 2, 5]] = True
+        stored[1, 1], values[1, 1] = True, 3.0  # a stored self-similarity
+        stored[2, 2] = False  # an implicit one
+        values[3, [0, 4, 6, 8]] = np.nan
+        stored[3, [0, 4, 6, 8]] = True
+        values[4, [1, 3, 7]] = 0.25  # duplicated nonzeros
+        stored[4, [1, 3, 7]] = True
+        stored[5] = False  # a row with no stored entry
+        stored[6] = True  # a row with no zero class
+        assert_ranks_match_reference(values, stored, rng.permutation(n), rng)
+        assert_ranks_match_reference(values, stored, np.array([5, 2]), rng)
+
+    def test_many_blocks_of_distinct_values(self):
+        rng = np.random.default_rng(1)
+        n = 2 * RANK_BLOCK + 30
+        values = rng.normal(size=(n, n))
+        stored = rng.random((n, n)) < 0.1
+        assert_ranks_match_reference(values, stored, rng.permutation(n), rng)
+
+
+def test_truth_triplets_holds_no_dense_block():
+    """On very sparse data the build's traced peak stays below one dense
+    RANK_BLOCK x n float64 block."""
+    rng = np.random.default_rng(3)
+    n, dim = 20_000, 4_000
+    pts = [SparseVector(np.sort(rng.choice(dim, 2, replace=False)), rng.uniform(0.1, 1, 2), dim)
+           for _ in range(n)]
+    ds = Dataset(pts, dim=dim)
+    ds.to_csr()
+    truth = gen_truth(dim, n_bases=40, rng=rng)
+    tracemalloc.start()
+    try:
+        cs = truth_triplets(ds, truth, alpha=0.1, count=2_000, rng=rng)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cs) == 2_000
+    assert peak < RANK_BLOCK * n * 8

@@ -110,6 +110,22 @@ class TestModelInvariants:
         with pytest.raises(ValueError):
             Model.from_arrays(lam, 4, np.array(bases, dtype=np.int64), np.array(alpha))
 
+    @pytest.mark.parametrize("bases", [
+        [[0, 1, POS], [0, 1, POS]],
+        [[0, 1, NEG], [2, 3, POS], [0, 1, NEG]],
+        [[2, 3, POS], [0, 3, NEG], [1, 2, POS], [0, 3, NEG]],
+    ])
+    def test_repeated_basis_rejected(self, bases):
+        # such a model would serialize to text that deserialize rejects
+        alpha = np.full(len(bases), 1.0 / len(bases))
+        with pytest.raises(ValueError, match="more than once"):
+            Model.from_arrays(1.0, 4, np.array(bases, dtype=np.int64), alpha)
+
+    def test_same_pair_with_both_signs_accepted(self):
+        m = Model.from_arrays(1.0, 4, np.array([[0, 1, POS], [0, 1, NEG], [1, 3, NEG]]),
+                              np.array([0.5, 0.25, 0.25]))
+        assert deserialize(serialize(m)) == m
+
     def test_arrays_are_read_only_and_atoms_a_new_dict(self):
         m = Model(2.0, 5, {BasisId(3, 4, NEG): 0.25, BasisId(0, 1, POS): 0.75})
         np.testing.assert_array_equal(m.bases, [[3, 4, NEG], [0, 1, POS]])
