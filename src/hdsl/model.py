@@ -81,14 +81,12 @@ class Model:
             k = bad[0]
             raise ValueError(f"basis ({i[k]}, {j[k]}, sign {sign[k]}) out of range for "
                              f"dim={self.dim}: needs 0 <= i < j < dim and sign +1 or -1")
-        # i*dim + j >= 1, so its sign carries the basis sign: one sorted key
-        key = np.sort((i * self.dim + j) * sign)
-        dup = np.flatnonzero(key[1:] == key[:-1])
+        # one row sort; no packed key, which would overflow int64 at large dim
+        rows = self.bases[np.lexsort((sign, j, i))]
+        dup = np.flatnonzero(np.all(rows[1:] == rows[:-1], axis=1))
         if dup.size:
-            k = key[dup[0]]
-            i0, j0 = divmod(abs(int(k)), self.dim)
-            raise ValueError(f"basis ({i0}, {j0}, sign {1 if k > 0 else -1}) "
-                             "appears more than once")
+            i0, j0, s0 = rows[dup[0]].tolist()
+            raise ValueError(f"basis ({i0}, {j0}, sign {s0}) appears more than once")
         bad = np.flatnonzero(~(alpha > 0))
         if bad.size:
             k = bad[0]

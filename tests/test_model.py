@@ -121,6 +121,18 @@ class TestModelInvariants:
         with pytest.raises(ValueError, match="more than once"):
             Model.from_arrays(1.0, 4, np.array(bases, dtype=np.int64), alpha)
 
+    def test_repeated_basis_named_in_the_error(self):
+        bases = np.array([[2, 3, POS], [0, 3, NEG], [0, 3, POS], [0, 3, NEG]])
+        with pytest.raises(ValueError, match=r"basis \(0, 3, sign -1\) appears more than once"):
+            Model.from_arrays(1.0, 4, bases, np.full(4, 0.25))
+
+    def test_distinct_bases_accepted_at_huge_dim(self):
+        # i * dim + j wraps in int64 here: both bases would pack to 2**31 + 1
+        dim = 2**33
+        bases = np.array([[0, 2**31 + 1, POS], [2**31, 2**31 + 1, POS]])
+        m = Model.from_arrays(1.0, dim, bases, np.array([0.5, 0.5]))
+        assert deserialize(serialize(m)) == m
+
     def test_same_pair_with_both_signs_accepted(self):
         m = Model.from_arrays(1.0, 4, np.array([[0, 1, POS], [0, 1, NEG], [1, 3, NEG]]),
                               np.array([0.5, 0.25, 0.25]))
