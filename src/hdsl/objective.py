@@ -17,6 +17,11 @@ import scipy.sparse as sp
 from .model import Model
 from .sparse_data import Dataset
 
+# rows (and columns) per tile of the dense d x d passes over the pair
+# statistic: a 128 x 128 float64 tile is 128 KB, and a 128-row band of a
+# d = 2,000 H is 2 MB
+DENSE_TILE = 128
+
 
 def smoothed_hinge(m):
     """Margin penalty: 0 for m >= 1, 0.5 - m for m <= 0, 0.5*(1-m)^2 between.
@@ -131,8 +136,11 @@ class ConstraintSet:
         derivatives) costs what its nonzero rows touch; a subset builds
         them over its active (g_t != 0) triplets, so its cost follows those.
 
-        The result is a dense d x d array when d*d <= DENSE_CELL_LIMIT, which
-        adds O(d^2) passes, and CSR otherwise. It is exactly symmetric.
+        The result is a dense d x d array when d*d <= DENSE_CELL_LIMIT, and
+        CSR otherwise. It is exactly symmetric. The dense result is the one
+        d x d array the call allocates: C is densified (or comes dense from
+        a dense P) and turned into C + C^T in place by _add_transpose, one
+        O(d^2) pass in DENSE_TILE x DENSE_TILE tile pairs.
         """
         if subset is None:
             if self._full_pattern is None:
@@ -153,8 +161,8 @@ class ConstraintSet:
         else:
             W.data, W.indices, W.indptr = data, indices, indptr
         C = PuT @ (W @ self.P)
-        if self.dim * self.dim <= self.DENSE_CELL_LIMIT and not isinstance(C, np.ndarray):
-            C = C.toarray()
+        if self.dim * self.dim <= self.DENSE_CELL_LIMIT:
+            return _add_transpose(C if isinstance(C, np.ndarray) else C.toarray())
         return C + C.T
 
     def _anchor_pattern(self, tri: np.ndarray):
@@ -190,6 +198,26 @@ class ConstraintSet:
         vals = lam * (xi * di + xj * dj + sign * (xi * dj + xj * di))
         keep = vals != 0.0
         return rows[keep], vals[keep]
+
+
+def _add_transpose(C: np.ndarray) -> np.ndarray:
+    """C + C^T in place, bit-equal to the full-matrix sum, for a square C.
+
+    Upper tile (r, c) gets C[r, c] + C[c, r]^T, and its mirror (c, r) a
+    copy of that, transposed; float addition commutes, so both halves hold
+    the same bits. A diagonal tile adds a copy of its own transpose, which
+    at d = 64 is faster than numpy's buffering of the overlapping view.
+    """
+    d = C.shape[0]
+    for r in range(0, d, DENSE_TILE):
+        rows = slice(r, r + DENSE_TILE)
+        tile = C[rows, rows]
+        tile += tile.T.copy()
+        for c in range(r + DENSE_TILE, d, DENSE_TILE):
+            cols = slice(c, c + DENSE_TILE)
+            C[rows, cols] += C[cols, rows].T
+            C[cols, rows] = C[rows, cols].T
+    return C
 
 
 class MarginCache:

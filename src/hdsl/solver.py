@@ -22,6 +22,7 @@ import scipy.sparse as sp
 
 from .model import NEG, POS, BasisId, Model
 from .objective import (
+    DENSE_TILE,
     ConstraintSet,
     MarginCache,
     grad_inner_with_model,
@@ -101,9 +102,15 @@ class GradientAccumulators:
     alike, and scipy sparse otherwise. diag[i] = H_ii / 2 = (1/|set|) *
     sum_t g_t x_ti d_ti. Basis scores follow as <P/N_(ij), grad f> =
     lam * (diag[i] + diag[j] +/- H_ij), read from the upper triangle
-    (i < j). `rows` is the number of constraints the call folded into H:
-    the set size on a fresh build, and on an update of the exact oracle's
-    running statistic the number of loss derivatives that changed.
+    (i < j); since H_ij and H_ji hold the same bits, so do the scores of
+    (i, j) and (j, i), and a tie between them goes to the upper one.
+    `rows` is the number of constraints the call folded into H: the set
+    size on a fresh build, and on an update of the exact oracle's running
+    statistic the number of loss derivatives that changed.
+
+    With a dense H, a gradient_accumulate call allocates two d x d
+    arrays: pair_statistic's result (the fresh H, or the delta that is
+    added into the running H and dropped) and the scaled copy H here.
     """
 
     def __init__(self, H, count: int, rows: Optional[int] = None):
@@ -149,12 +156,19 @@ def _statistic_drift(cs: ConstraintSet, cache: MarginCache, k: int) -> Optional[
     """Rebuild the running pair statistic from scratch at the derivatives
     it was last brought to, and replace it. Returns max|running - fresh|
     relative to max(1, max|fresh|), or None when there is none, and raises
-    RuntimeError above MARGIN_DRIFT_TOL."""
+    RuntimeError above MARGIN_DRIFT_TOL. A dense running H takes the
+    difference in place, so the fresh build is the one d x d array."""
     if cache.statistic is None:
         return None
     _, H, g = cache.statistic
     fresh = cs.pair_statistic(g)
-    drift = float(abs(H - fresh).max()) / max(1.0, float(abs(fresh).max()))
+    if isinstance(H, np.ndarray):
+        # H is replaced below, so the difference is taken in it
+        H -= fresh
+        diff, scale = np.abs(H, out=H).max(), max(fresh.max(), -fresh.min())
+    else:
+        diff, scale = abs(H - fresh).max(), abs(fresh).max()
+    drift = float(diff) / max(1.0, float(scale))
     if drift > MARGIN_DRIFT_TOL:
         raise RuntimeError(f"pair statistic drifted by {drift:.3e} at iteration {k}")
     cache.statistic = (cs, fresh, g)
@@ -180,30 +194,46 @@ def forward_exact(
 ) -> Direction:
     """Global argmin of <B, grad f> over all bases.
 
-    Decomposition: (a) every pair with a nonzero cross term H_ij, scored
-    lam*(c_i + c_j - |H_ij|) with the sign that benefits; (b) the pair of
-    the two smallest diagonal values with sign Pos. Any pair with zero
-    cross term scores at least (b)'s candidate, and the best pair with a
-    nonzero cross term is already in (a), so the minimum over (a) and (b)
-    is the global one.
+    A pair (i, j) scores lam*(c_i + c_j - |H_ij|) with the sign that
+    benefits. A dense H is scored in bands of DENSE_TILE rows [lo, hi),
+    each over the columns [lo, d) only, so the call reads the upper half of
+    H and allocates two DENSE_TILE x d arrays (the band's scores and
+    |H|), no d x d one. The pick is that of the full d x d row-major
+    argmin with the diagonal masked, bit for bit. H and c_i + c_j are
+    exactly symmetric, so that argmin's first hit (i, j) has i < j (a hit
+    with j < i would have its equal (j, i) in an earlier row), and it is
+    the lex-smallest pair. In a band, a lower entry (r, c), lo <= c < r,
+    has its equal (c, r) in an earlier row of the same band, so the band's
+    first hit is upper too; the running best changes only on a strict <,
+    keeping the earliest band on ties, and the first NaN ends the scan, as
+    argmin returns the first NaN.
+
+    A sparse H is decomposed: (a) every pair with a nonzero cross term
+    H_ij; (b) the pair of the two smallest diagonal values with sign Pos.
+    Any pair with zero cross term scores at least (b)'s candidate, and the
+    best pair with a nonzero cross term is already in (a), so the minimum
+    over (a) and (b) is the global one.
     """
     if dim < 2:
         raise ValueError("need at least two features")
     c = acc.diag
 
     if isinstance(acc.H, np.ndarray):
-        # dense H: score every pair directly. H and c_i + c_j are exactly
-        # symmetric, so with the diagonal masked the row-major argmin's
-        # first hit (i, j) has i < j (a hit with j < i would have its equal
-        # (j, i) in an earlier row), and it is the lex-smallest pair
         H = acc.H
-        scores = np.add.outer(c, c)
-        scores -= np.abs(H)
-        scores *= lam
-        np.fill_diagonal(scores, np.inf)
-        i, j = divmod(int(np.argmin(scores)), dim)
+        best = None
+        for lo in range(0, dim, DENSE_TILE):
+            scores = np.add.outer(c[lo : lo + DENSE_TILE], c[lo:])
+            scores -= np.abs(H[lo : lo + DENSE_TILE, lo:])
+            scores *= lam
+            np.fill_diagonal(scores, np.inf)
+            r, col = divmod(int(np.argmin(scores)), scores.shape[1])
+            score = scores[r, col]
+            if best is None or score < best[0] or math.isnan(score):
+                best = (score, lo + r, lo + col)
+                if math.isnan(score):
+                    break
+        score, i, j = best
         basis = BasisId(i, j, NEG if H[i, j] > 0 else POS)
-        score = scores[i, j]
     else:
         h = acc.H.tocoo()
         mask = (h.row < h.col) & (h.data != 0.0)

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -12,10 +14,14 @@ from hdsl.objective import (
     smoothed_hinge,
     smoothed_hinge_deriv,
     update_cache_sparse,
+    _add_transpose,
 )
 from hdsl.sparse_data import Dataset, SparseVector
 
 from util import reference_triplet_view
+
+# the module, not the `objective` function the package exports by that name
+objective_mod = importlib.import_module("hdsl.objective")
 
 
 def sv(pairs, dim):
@@ -254,6 +260,26 @@ class TestOneView:
             ConstraintSet(Dataset(pts), trips[:1])
         pts[role] = sv([(0, 0.5), (1, 2.0)], 3)
         ConstraintSet(Dataset(pts), trips)
+
+
+class TestAddTranspose:
+    """pair_statistic turns its dense C into C + C^T in place, tile pair by
+    tile pair; the result must hold the bits of the full-matrix sum."""
+
+    @pytest.mark.parametrize("tile", [1, 2, 7])
+    def test_bit_equal_to_full_sum(self, tile, monkeypatch):
+        monkeypatch.setattr(objective_mod, "DENSE_TILE", tile)
+        rng = np.random.default_rng(300 + tile)
+        for d in sorted({2, 3, tile - 1, tile, tile + 1, 2 * tile + 1} - {0}):
+            for _ in range(50):
+                C = rng.integers(-3, 4, size=(d, d)) * rng.choice([1.0, 0.1, 1 / 3])
+                C[rng.random((d, d)) < 0.2] = -0.0
+                C[rng.random((d, d)) < 0.05] = np.nan
+                C[rng.random((d, d)) < 0.2] += rng.normal(size=1)
+                expected = C + C.T
+                got = _add_transpose(C)
+                assert got is C
+                np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
 class TestUpdateCache:

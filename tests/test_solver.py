@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,7 @@ from util import (
     random_triplets,
     reference_apply_step,
     reference_away_pick,
+    reference_forward_exact_dense,
     reference_forward_heuristic,
     reference_lipschitz,
     reference_partner_scores,
@@ -391,6 +393,84 @@ class TestForwardExact:
             d_sparse = forward_exact(sparse_acc, 2.0, dim)
             assert d_dense.basis == d_sparse.basis
             assert d_dense.score == pytest.approx(d_sparse.score, abs=1e-13)
+
+
+class TestDenseTiledScan:
+    """forward_exact scores a dense H in DENSE_TILE-row bands over the
+    upper columns only; its pick and score must be those of one
+    full-matrix argmin, bit for bit."""
+
+    def assert_same_pick(self, H, lam):
+        acc = GradientAccumulators(H, count=1)
+        got = forward_exact(acc, lam, H.shape[0])
+        i, j, sign, score = reference_forward_exact_dense(acc, lam)
+        assert got.basis == BasisId(i, j, sign)
+        assert np.float64(got.score).tobytes() == np.float64(score).tobytes()
+
+    def dims(self, tile):
+        return sorted({2, 3, tile - 1, tile, tile + 1, 2 * tile + 1} - {0, 1})
+
+    @pytest.mark.parametrize("tile", [1, 2, 7])
+    def test_tie_heavy_integers(self, tile, monkeypatch):
+        monkeypatch.setattr(solver_mod, "DENSE_TILE", tile)
+        rng = np.random.default_rng(100 + tile)
+        for dim in self.dims(tile):
+            for _ in range(100):
+                A = rng.integers(-2, 3, size=(dim, dim)).astype(float)
+                A[rng.random((dim, dim)) < 0.2] = -0.0
+                self.assert_same_pick(A + A.T, float(rng.choice([0.5, 1.0, 3.0])))
+
+    @pytest.mark.parametrize("tile", [1, 2, 7])
+    def test_nan_score_picks_the_first_nan(self, tile, monkeypatch):
+        # np.argmin returns the first NaN; a NaN or infinite H entry, on or
+        # off the diagonal, puts NaN into one or more scores
+        monkeypatch.setattr(solver_mod, "DENSE_TILE", tile)
+        rng = np.random.default_rng(200 + tile)
+        for dim in self.dims(tile):
+            for _ in range(50):
+                A = rng.integers(-2, 3, size=(dim, dim)).astype(float)
+                H = A + A.T
+                for _ in range(int(rng.integers(1, 3))):
+                    i, j = rng.integers(dim, size=2)
+                    H[i, j] = H[j, i] = rng.choice([np.nan, np.inf, -np.inf])
+                with np.errstate(invalid="ignore"):  # inf - inf
+                    self.assert_same_pick(H, 1.0)
+
+    def test_one_call_holds_no_d_by_d_array(self):
+        dim = 2_000
+        A = np.random.default_rng(7).normal(size=(dim, dim))
+        acc = GradientAccumulators(A + A.T, count=1)
+        del A
+        tracemalloc.start()
+        try:
+            forward_exact(acc, 1.0, dim)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < dim * dim * 8 / 4
+
+    def test_running_update_holds_one_d_by_d_array_at_a_time(self):
+        # sparse points and a dense H, the recovery form: the delta's C is
+        # densified and summed into H in place, then dropped before the
+        # scaled copy is made, so no two d x d arrays are alive at once
+        rng = np.random.default_rng(8)
+        dim = 1_200
+        cs = ConstraintSet(random_sparse_dataset(rng, 300, dim, max_nnz=4),
+                           random_triplets(rng, 300, 400))
+        assert sp.issparse(cs.P)
+        cache = MarginCache(rng.uniform(-0.5, 1.5, size=len(cs)))
+        gradient_accumulate(cs, cache)
+        m = cache.margins.copy()
+        m[:40] = rng.uniform(-0.5, 1.5, size=40)
+        cache.margins = m
+        tracemalloc.start()
+        try:
+            acc = gradient_accumulate(cs, cache)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert acc.rows > 0 and isinstance(acc.H, np.ndarray)
+        assert peak < 1.5 * dim * dim * 8
 
 
 class TestForwardMinibatch:

@@ -225,6 +225,19 @@ def brute_force_forward(grad: np.ndarray, lam: float):
     return best_basis, best_key[0]
 
 
+def reference_forward_exact_dense(acc, lam):
+    """forward_exact's pick on a dense H as one full-matrix pass: score all
+    d x d pairs, mask the diagonal, take the row-major argmin. Returns
+    (i, j, sign, score)."""
+    c, H = acc.diag, acc.H
+    scores = np.add.outer(c, c)
+    scores -= np.abs(H)
+    scores *= lam
+    np.fill_diagonal(scores, np.inf)
+    i, j = divmod(int(np.argmin(scores)), c.size)
+    return i, j, NEG if H[i, j] > 0 else POS, scores[i, j]
+
+
 def _ranked(scores, a):
     """Every point but a, most similar first, ties to the lower index."""
     order = np.lexsort((np.arange(scores.size), -scores))
