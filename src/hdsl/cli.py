@@ -13,6 +13,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import evaluation, synthetic
 from .constraints import link_triplets, neighbors_triplets, random_label_triplets, truth_triplets
@@ -21,7 +22,6 @@ from .objective import ConstraintSet
 from .sparse_data import (
     Dataset,
     ParseError,
-    SparseVector,
     feature_scales,
     parse_libsvm,
     read_triplets,
@@ -203,8 +203,7 @@ def cmd_project(args) -> int:
     ds = _load_dataset(args.data, dim=model.dim)
     proj = factorize(model)
     rows = project_dataset(proj, ds.to_csr()) if len(ds) else np.zeros((0, proj.n_columns))
-    points = [SparseVector.from_dense(r) for r in rows]
-    _write_text(args.out, serialize_libsvm(Dataset(points, ds.labels, dim=proj.n_columns)))
+    _write_text(args.out, serialize_libsvm(Dataset.from_csr(sp.csr_matrix(rows), ds.labels)))
     print(json.dumps({"points": rows.shape[0], "dimensions": rows.shape[1], "out": args.out}))
     return 0
 

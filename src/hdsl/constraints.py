@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -127,8 +127,8 @@ def _neighbor_triplets(
     n_impostors: int,
 ) -> np.ndarray:
     """neighbors_triplets' ranking pass, as a T x 3 array; neither a block
-    ranking nor the tuple list outlives it."""
-    triplets: List[Tuple[int, int, int]] = []
+    ranking nor the per-anchor arrays outlive it."""
+    triplets = [np.zeros((0, 3), dtype=np.int64)]
     skipped = 0
     n = labels.size
     head = min(n - 1, 4 * (n_targets + n_impostors))
@@ -150,11 +150,12 @@ def _neighbor_triplets(
             if found is None:
                 skipped += 1
                 continue
-            targets, impostors = found
-            triplets.extend((a, int(b), int(c)) for b in targets for c in impostors)
+            targets, impostors = found  # b in targets, then c in impostors
+            bs, cs = np.repeat(targets, n_impostors), np.tile(impostors, n_targets)
+            triplets.append(np.column_stack((np.full(bs.size, a), bs, cs)))
     if skipped:
         logger.warning("neighbors_triplets: skipped %d instances with too few candidates", skipped)
-    return np.array(triplets, dtype=np.int64).reshape(-1, 3)
+    return np.concatenate(triplets)
 
 
 def random_label_triplets(
@@ -173,7 +174,7 @@ def random_label_triplets(
     by_label: Dict[int, np.ndarray] = {
         int(l): np.flatnonzero(labels == l) for l in np.unique(labels)
     }
-    triplets = []
+    triplets = [np.zeros((0, 3), dtype=np.int64)]
     skipped = 0
     for a in range(n):
         same = by_label[int(labels[a])]
@@ -184,10 +185,10 @@ def random_label_triplets(
             continue
         bs = rng.choice(same, size=per_instance, replace=True)
         cs_ = rng.choice(other, size=per_instance, replace=True)
-        triplets.extend((a, int(b), int(c)) for b, c in zip(bs, cs_))
+        triplets.append(np.column_stack((np.full(per_instance, a), bs, cs_)))
     if skipped:
         logger.warning("random_label_triplets: skipped %d singleton-class instances", skipped)
-    return ConstraintSet(ds, np.array(triplets, dtype=np.int64).reshape(-1, 3))
+    return ConstraintSet(ds, np.concatenate(triplets))
 
 
 def truth_triplets(

@@ -1,7 +1,7 @@
 """Sparse vectors, labeled datasets, LIBSVM-format and triplet file I/O.
 
-Points are stored index/value sorted, which keeps dot products and feature
-lookups cheap regardless of the ambient dimension.
+A Dataset keeps its points as the rows of one index-sorted CSR matrix
+with no stored zeros; a SparseVector is one point, built on demand.
 """
 
 from __future__ import annotations
@@ -85,23 +85,19 @@ class SparseVector:
         return f"SparseVector([{pairs}], dim={self.dim})"
 
 
-def diff(u: SparseVector, v: SparseVector) -> SparseVector:
-    """u - v as a sparse vector (exact cancellations dropped)."""
-    if u.dim != v.dim:
-        raise ValueError("dimension mismatch")
-    idx = np.concatenate([u.indices, v.indices])
-    val = np.concatenate([u.values, -v.values])
-    order = np.argsort(idx, kind="stable")
-    idx, val = idx[order], val[order]
-    out_idx, inverse = np.unique(idx, return_inverse=True)
-    out_val = np.zeros(out_idx.size)
-    np.add.at(out_val, inverse, val)
-    keep = out_val != 0.0
-    return SparseVector(out_idx[keep], out_val[keep], u.dim)
+def csr_from_rows(indices: Sequence[np.ndarray], values: Sequence[np.ndarray], dim: int) -> sp.csr_matrix:
+    """Stack per-row index and value arrays, each row already sorted, into
+    one len(indices) x dim CSR matrix."""
+    indptr = np.concatenate(([0], np.cumsum([i.size for i in indices], dtype=np.int64)))
+    cols = np.concatenate([*indices, np.zeros(0, dtype=np.int64)])
+    return sp.csr_matrix((np.concatenate([*values, np.zeros(0)]), cols, indptr), shape=(len(indices), dim))
 
 
 class Dataset:
-    """An immutable collection of SparseVectors with optional class labels."""
+    """n points of R^dim with optional integer class labels, held as one
+    n x dim CSR matrix (`to_csr()`) whose rows keep SparseVector's
+    invariants, plus `labels` and `dim`; `ds[i]` builds row i as a
+    SparseVector on demand. Both constructors check the rows and labels."""
 
     def __init__(self, points: Sequence[SparseVector], labels=None, dim: Optional[int] = None):
         points = list(points)
@@ -110,37 +106,41 @@ class Dataset:
         for p in points:
             if p.dim != dim:
                 raise ValueError("all points must share the dataset dimension")
+        X = csr_from_rows([p.indices for p in points], [p.values for p in points], dim)
+        ds = Dataset.from_csr(X, labels)
+        self._X, self.labels, self.dim = ds._X, ds.labels, ds.dim
+
+    @classmethod
+    def from_csr(cls, X, labels=None) -> "Dataset":
+        """A dataset of the rows of X, anything sp.csr_matrix takes (a float64 CSR matrix
+        is kept, not copied). Raises ValueError unless each row's column indices are in range
+        and strictly increasing with no stored zeros, and labels, if given, are one per row."""
+        X = sp.csr_matrix(X, dtype=np.float64)
+        X.check_format(full_check=True)
+        if not X.has_canonical_format:
+            raise ValueError("column indices must be strictly increasing within each row")
+        if np.any(X.data == 0.0):
+            raise ValueError("explicit zero values are not allowed")
         if labels is not None:
             labels = np.asarray(labels, dtype=np.int64)
-            if labels.shape != (len(points),):
+            if labels.shape != (X.shape[0],):
                 raise ValueError("labels must have one entry per point")
-        self.points = points
-        self.labels = labels
-        self.dim = int(dim)
-        self._csr: Optional[sp.csr_matrix] = None
+        ds = cls.__new__(cls)
+        ds._X, ds.labels, ds.dim = X, labels, int(X.shape[1])
+        return ds
 
     def __len__(self) -> int:
-        return len(self.points)
+        return self._X.shape[0]
 
     def __getitem__(self, i: int) -> SparseVector:
-        return self.points[i]
+        """Row i (negative counts from the end) as a new SparseVector."""
+        i = range(len(self))[i]
+        lo, hi = self._X.indptr[i], self._X.indptr[i + 1]
+        return SparseVector(self._X.indices[lo:hi].astype(np.int64), self._X.data[lo:hi].copy(), self.dim)
 
     def to_csr(self) -> sp.csr_matrix:
-        """Rows-as-points CSR view, built once and cached."""
-        if self._csr is None:
-            indptr = np.zeros(len(self.points) + 1, dtype=np.int64)
-            for t, p in enumerate(self.points):
-                indptr[t + 1] = indptr[t] + p.nnz
-            if self.points:
-                indices = np.concatenate([p.indices for p in self.points])
-                data = np.concatenate([p.values for p in self.points])
-            else:
-                indices = np.zeros(0, dtype=np.int64)
-                data = np.zeros(0)
-            self._csr = sp.csr_matrix(
-                (data, indices, indptr), shape=(len(self.points), self.dim)
-            )
-        return self._csr
+        """The stored rows-as-points CSR matrix (not a copy)."""
+        return self._X
 
 
 def parse_libsvm(source: Union[str, io.TextIOBase], dim: Optional[int] = None) -> Dataset:
@@ -153,8 +153,7 @@ def parse_libsvm(source: Union[str, io.TextIOBase], dim: Optional[int] = None) -
     """
     if isinstance(source, str):
         source = io.StringIO(source)
-    points_raw = []
-    labels = []
+    labels, indices, values, indptr = [], [], [], [0]
     max_index = -1
     for lineno, raw in enumerate(source, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -168,8 +167,6 @@ def parse_libsvm(source: Union[str, io.TextIOBase], dim: Optional[int] = None) -
         if not math.isfinite(label_f) or label_f != int(label_f):
             raise ParseError(f"non-integer label {parts[0]!r}", lineno)
         _check_int64(int(label_f), "label", lineno)
-        idxs = []
-        vals = []
         prev = 0
         for tok in parts[1:]:
             if ":" not in tok:
@@ -189,36 +186,39 @@ def parse_libsvm(source: Union[str, io.TextIOBase], dim: Optional[int] = None) -
             _check_int64(idx, "feature index", lineno)
             prev = idx
             if val != 0.0:
-                idxs.append(idx - 1)
-                vals.append(val)
-        if idxs:
-            max_index = max(max_index, idxs[-1])
-        points_raw.append((np.array(idxs, dtype=np.int64), np.array(vals)))
+                indices.append(idx - 1)
+                values.append(val)
+        if len(indices) > indptr[-1]:
+            max_index = max(max_index, indices[-1])
+        indptr.append(len(indices))
         labels.append(int(label_f))
     inferred = max_index + 1
     if dim is None:
         dim = inferred
     elif dim < inferred:
         raise ValueError(f"explicit dim {dim} smaller than max observed index {inferred}")
-    points = [SparseVector(i, v, dim) for i, v in points_raw]
-    return Dataset(points, labels if labels else None, dim=dim)
+    arrays = (np.array(values, dtype=np.float64), np.array(indices, dtype=np.int64), np.array(indptr))
+    return Dataset.from_csr(sp.csr_matrix(arrays, shape=(len(labels), dim)), labels or None)
 
 
 def serialize_libsvm(ds: Dataset) -> str:
     """Inverse of parse_libsvm (1-based indices, 17-significant-digit floats)."""
+    X = ds.to_csr()
+    indptr, indices, values = X.indptr.tolist(), X.indices.tolist(), X.data.tolist()
     lines = []
-    for t, p in enumerate(ds.points):
+    for t in range(len(ds)):
         label = ds.labels[t] if ds.labels is not None else 0
-        feats = " ".join(f"{i + 1}:{v:.17g}" for i, v in zip(p.indices, p.values))
+        row = slice(indptr[t], indptr[t + 1])
+        feats = " ".join(f"{i + 1}:{v:.17g}" for i, v in zip(indices[row], values[row]))
         lines.append(f"{label} {feats}".rstrip())
     return "\n".join(lines) + ("\n" if lines else "")
 
 
 def feature_scales(ds: Dataset) -> np.ndarray:
-    """Per-feature max absolute value over the dataset (0 for unseen features)."""
+    """Per-feature max absolute value (column max of |X|; 0 for unseen features)."""
+    X = ds.to_csr()
     scales = np.zeros(ds.dim)
-    for p in ds.points:
-        np.maximum.at(scales, p.indices, np.abs(p.values))
+    np.maximum.at(scales, X.indices, np.abs(X.data))
     return scales
 
 
@@ -233,10 +233,9 @@ def scale_to_unit_range(ds: Dataset, scales: Optional[np.ndarray] = None) -> Dat
     if scales is None:
         scales = feature_scales(ds)
     divisor = np.where(scales > 0, scales, 1.0)
-    points = [
-        SparseVector(p.indices, p.values / divisor[p.indices], p.dim) for p in ds.points
-    ]
-    return Dataset(points, ds.labels, dim=ds.dim)
+    X = ds.to_csr()
+    scaled = sp.csr_matrix((X.data / divisor[X.indices], X.indices, X.indptr), shape=X.shape)
+    return Dataset.from_csr(scaled, ds.labels)
 
 
 def write_triplets(triplets: np.ndarray) -> str:

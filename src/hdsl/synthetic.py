@@ -9,7 +9,7 @@ import numpy as np
 
 from .constraints import ranked_blocks, similarity_blocks
 from .model import NEG, POS, BasisId, Model, to_csr_matrix
-from .sparse_data import Dataset, SparseVector
+from .sparse_data import Dataset, csr_from_rows
 
 
 def _sample_bases(
@@ -111,11 +111,11 @@ def gen_uniform_sparse(
         raise ValueError("sparsity must be in (0, 1]")
     rng = rng or np.random.default_rng()
     k = math.ceil(sparsity * dim)
-    points = []
+    indices, values = [], []
     for _ in range(n):
-        idx = np.sort(rng.choice(dim, size=k, replace=False))
-        points.append(SparseVector(idx, _uniform_values(k, rng), dim))
-    return Dataset(points, dim=dim)
+        indices.append(np.sort(rng.choice(dim, size=k, replace=False)))
+        values.append(_uniform_values(k, rng))
+    return Dataset.from_csr(csr_from_rows(indices, values, dim))
 
 
 def powerlaw_inclusion_probs(dim: int, avg_sparsity: float, exponent: float) -> np.ndarray:
@@ -144,17 +144,17 @@ def gen_powerlaw_sparse(
     """n points with power-law feature frequencies and U(0,1) values."""
     rng = rng or np.random.default_rng()
     p = powerlaw_inclusion_probs(dim, avg_sparsity, exponent)
-    points = []
+    indices, values = [], []
     chunk = max(1, min(n, int(4e6 // max(dim, 1)) or 1))
     done = 0
     while done < n:
         rows = min(chunk, n - done)
         mask = rng.random((rows, dim)) < p
         for r in range(rows):
-            idx = np.flatnonzero(mask[r])
-            points.append(SparseVector(idx, _uniform_values(idx.size, rng), dim))
+            indices.append(np.flatnonzero(mask[r]))
+            values.append(_uniform_values(indices[-1].size, rng))
         done += rows
-    return Dataset(points, dim=dim)
+    return Dataset.from_csr(csr_from_rows(indices, values, dim))
 
 
 def gen_links(

@@ -165,7 +165,8 @@ class TestTrain:
 
         def parse_with_bad_value(text, dim=None):
             ds = parse_libsvm(text, dim=dim)
-            ds.points[1].values[0] = bad
+            X = ds.to_csr()
+            X.data[X.indptr[1]] = bad  # the first stored value of point 1
             return ds
 
         monkeypatch.setattr(cli, "parse_libsvm", parse_with_bad_value)

@@ -117,6 +117,26 @@ class TestRandomLabelTriplets:
             assert ds.labels[a] == ds.labels[b]
             assert ds.labels[a] != ds.labels[c]
 
+    def test_matches_per_triplet_reference(self):
+        """Equal triplets and generator state to drawing each anchor's pairs
+        and appending one tuple per triplet; the singleton anchor is skipped."""
+        ds = labeled_blobs(np.random.default_rng(7), per_class=5)
+        labels = ds.labels.copy()
+        labels[3] = 9
+        ds = Dataset.from_csr(ds.to_csr(), labels)
+        rng_got, rng_want = np.random.default_rng(8), np.random.default_rng(8)
+        got = random_label_triplets(ds, per_instance=6, rng=rng_got).triplets
+        want = []
+        for a in range(len(ds)):
+            same = np.flatnonzero((labels == labels[a]) & (np.arange(len(ds)) != a))
+            other = np.flatnonzero(labels != labels[a])
+            if same.size and other.size:
+                bs, cs = rng_want.choice(same, size=6), rng_want.choice(other, size=6)
+                want.extend((a, int(b), int(c)) for b, c in zip(bs, cs))
+        np.testing.assert_array_equal(got, np.array(want, dtype=np.int64))
+        assert got.dtype == np.int64 and 3 not in got[:, 0]
+        assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
     @pytest.mark.parametrize("per_instance", [0, -2])
     def test_per_instance_below_one_rejected(self, per_instance):
         ds = labeled_blobs(np.random.default_rng(4), per_class=5)
@@ -370,7 +390,6 @@ def test_truth_triplets_holds_no_dense_block():
     pts = [SparseVector(np.sort(rng.choice(dim, 2, replace=False)), rng.uniform(0.1, 1, 2), dim)
            for _ in range(n)]
     ds = Dataset(pts, dim=dim)
-    ds.to_csr()
     truth = gen_truth(dim, n_bases=40, rng=rng)
     tracemalloc.start()
     try:

@@ -124,7 +124,7 @@ class TestKnnError:
 
     def test_unlabeled_rejected(self):
         ds = self.separated_dataset()
-        bare = Dataset(ds.points, labels=None, dim=4)
+        bare = Dataset.from_csr(ds.to_csr())
         with pytest.raises(ValueError):
             knn_error(self.block_model(), bare, ds)
 

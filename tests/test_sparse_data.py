@@ -2,13 +2,13 @@ import io
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hdsl.objective import ConstraintSet
 from hdsl.sparse_data import (
     Dataset,
     ParseError,
     SparseVector,
-    diff,
     feature_scales,
     parse_libsvm,
     read_triplets,
@@ -16,6 +16,8 @@ from hdsl.sparse_data import (
     serialize_libsvm,
     write_triplets,
 )
+
+from util import assert_same_csr
 
 
 def sv(pairs, dim):
@@ -25,16 +27,24 @@ def sv(pairs, dim):
     return SparseVector(np.array(idx), np.array(val), dim)
 
 
+def csr_row(pairs, dim):
+    """The same point as sv, entered as the one row of a CSR matrix."""
+    idx, val = zip(*pairs)
+    return Dataset.from_csr(sp.csr_matrix((val, idx, [0, len(idx)]), shape=(1, dim)))
+
+
 class TestSparseVector:
     def test_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            sv([(2, 1.0), (1, 2.0)], 5)  # not increasing
-        with pytest.raises(ValueError):
-            sv([(1, 1.0), (1, 2.0)], 5)  # duplicate
-        with pytest.raises(ValueError):
-            sv([(7, 1.0)], 5)  # out of range
-        with pytest.raises(ValueError):
-            sv([(1, 0.0)], 5)  # explicit zero
+        for make in (sv, csr_row):
+            with pytest.raises(ValueError):
+                make([(2, 1.0), (1, 2.0)], 5)  # not increasing
+            with pytest.raises(ValueError):
+                make([(1, 1.0), (1, 2.0)], 5)  # duplicate
+            with pytest.raises(ValueError):
+                make([(7, 1.0)], 5)  # out of range
+            with pytest.raises(ValueError):
+                make([(1, 0.0)], 5)  # explicit zero
+            make([(1, 2.0), (3, -1.0)], 5)  # the valid form passes
 
     def test_get(self):
         v = sv([(1, 2.0), (7, -3.0)], 10)
@@ -56,18 +66,27 @@ def _random_vec(rng, d):
     return SparseVector(idx, vals, d)
 
 
-class TestDiff:
-    def test_matches_dense(self):
-        rng = np.random.default_rng(3)
-        for _ in range(30):
-            d = int(rng.integers(2, 30))
-            u, v = _random_vec(rng, d), _random_vec(rng, d)
-            np.testing.assert_allclose(diff(u, v).to_dense(), u.to_dense() - v.to_dense())
+class TestDataset:
+    @pytest.mark.parametrize("labels", [[0, 1], [0, 1, 2, 3], [[0, 1, 2]]])
+    def test_label_count_checked(self, labels):
+        pts = [sv([(0, 1.0)], 2), sv([], 2), sv([(1, 1.0)], 2)]
+        with pytest.raises(ValueError, match="one entry per point"):
+            Dataset(pts, labels=labels)
+        with pytest.raises(ValueError, match="one entry per point"):
+            Dataset.from_csr(Dataset(pts).to_csr(), labels=labels)
 
-    def test_exact_cancellation_dropped(self):
-        u = sv([(1, 2.0), (3, 1.0)], 5)
-        v = sv([(1, 2.0)], 5)
-        assert diff(u, v) == sv([(3, 1.0)], 5)
+    def test_rows_built_on_demand(self):
+        pts = [sv([(0, 1.0)], 3), sv([], 3), sv([(1, 2.0), (2, -1.0)], 3)]
+        ds = Dataset(pts, labels=[4, 5, 6])
+        assert len(ds) == 3 and ds.dim == 3
+        assert [ds[i] for i in range(3)] == pts and ds[-1] == pts[2]
+        with pytest.raises(IndexError):
+            ds[3]
+        ds[2].values[0] = 7.0  # a row is a copy, not a view of the matrix
+        assert ds[2] == pts[2]
+        same = Dataset.from_csr(ds.to_csr(), ds.labels)
+        assert same.labels.tolist() == [4, 5, 6]
+        assert_same_csr(same.to_csr(), ds.to_csr())
 
 
 class TestParseLibsvm:
@@ -118,12 +137,13 @@ class TestParseLibsvm:
 
     def test_round_trip(self):
         rng = np.random.default_rng(7)
-        points = [_random_vec(rng, 12) for _ in range(8)]
-        ds = Dataset(points, labels=rng.integers(0, 3, size=8), dim=12)
-        back = parse_libsvm(io.StringIO(serialize_libsvm(ds)), dim=12)
-        assert back.labels.tolist() == ds.labels.tolist()
-        for p, q in zip(ds.points, back.points):
-            assert p == q
+        for labeled in [True, False] * 4:
+            points = [_random_vec(rng, 12) for _ in range(8)]
+            points[2] = points[7] = sv([], 12)  # empty rows, one of them last
+            ds = Dataset(points, labels=rng.integers(-3, 3, size=8) if labeled else None, dim=12)
+            back = parse_libsvm(io.StringIO(serialize_libsvm(ds)), dim=12)
+            assert back.labels.tolist() == (ds.labels.tolist() if labeled else [0] * 8)
+            assert_same_csr(back.to_csr(), ds.to_csr())
 
 
 class TestScaleToUnitRange:
@@ -142,8 +162,7 @@ class TestScaleToUnitRange:
     def test_identity_when_max_one(self):
         ds = Dataset([sv([(0, 1.0), (1, 0.25)], 2), sv([(1, 1.0)], 2)])
         out = scale_to_unit_range(ds)
-        for p, q in zip(ds.points, out.points):
-            assert p == q
+        assert_same_csr(out.to_csr(), ds.to_csr())
 
     def test_train_stats_applied_to_other_split(self):
         train = Dataset([sv([(0, 4.0)], 1)])
@@ -161,8 +180,7 @@ class TestScaleToUnitRange:
         pts = [p for p in pts if p.nnz]
         ds = Dataset(pts, dim=20)
         out = scale_to_unit_range(ds)
-        for p in out.points:
-            assert np.all(np.abs(p.values) <= 1.0 + 1e-15)
+        assert np.all(np.abs(out.to_csr().data) <= 1.0 + 1e-15)
 
 
 class TestTriplets:

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from hdsl.sparse_data import Dataset, SparseVector
 from hdsl.synthetic import (
+    _uniform_values,
     gen_links,
     gen_powerlaw_sparse,
     gen_truth,
@@ -12,7 +14,38 @@ from hdsl.synthetic import (
     powerlaw_inclusion_probs,
 )
 
-from util import dense_model_matrix
+from util import assert_same_csr, dense_model_matrix
+
+
+def uniform_reference(n, dim, sparsity, rng):
+    """gen_uniform_sparse's draws, one SparseVector per point."""
+    k = math.ceil(sparsity * dim)
+    pts = []
+    for _ in range(n):
+        idx = np.sort(rng.choice(dim, size=k, replace=False))
+        pts.append(SparseVector(idx, _uniform_values(k, rng), dim))
+    return Dataset(pts, dim=dim)
+
+
+def powerlaw_reference(n, dim, avg_sparsity, exponent, rng):
+    """gen_powerlaw_sparse's draws (a chunk's masks, then each row's
+    values), one SparseVector per point."""
+    p = powerlaw_inclusion_probs(dim, avg_sparsity, exponent)
+    chunk = max(1, min(n, int(4e6 // max(dim, 1)) or 1))
+    pts = []
+    while len(pts) < n:
+        mask = rng.random((min(chunk, n - len(pts)), dim)) < p
+        for row in mask:
+            idx = np.flatnonzero(row)
+            pts.append(SparseVector(idx, _uniform_values(idx.size, rng), dim))
+    return Dataset(pts, dim=dim)
+
+
+def assert_same_draws(generate, reference, seed):
+    """Bit-equal CSR arrays and equal generator states after both."""
+    rng_got, rng_want = np.random.default_rng(seed), np.random.default_rng(seed)
+    assert_same_csr(generate(rng_got).to_csr(), reference(rng_want).to_csr())
+    assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
 
 class TestGenTruth:
@@ -54,16 +87,21 @@ class TestGenTruth:
 class TestGenUniformSparse:
     def test_full_density(self):
         ds = gen_uniform_sparse(5, 10, sparsity=1.0, rng=np.random.default_rng(0))
-        assert all(p.nnz == 10 for p in ds.points)
+        assert np.all(ds.to_csr().getnnz(axis=1) == 10)
 
     def test_expected_nnz(self):
         ds = gen_uniform_sparse(20, 150, sparsity=0.02, rng=np.random.default_rng(1))
-        assert all(p.nnz == math.ceil(0.02 * 150) for p in ds.points)
+        assert np.all(ds.to_csr().getnnz(axis=1) == math.ceil(0.02 * 150))
 
     def test_value_range(self):
         ds = gen_uniform_sparse(50, 40, sparsity=0.2, rng=np.random.default_rng(2))
-        for p in ds.points:
-            assert np.all(p.values > 0) and np.all(p.values < 1)
+        values = ds.to_csr().data
+        assert np.all(values > 0) and np.all(values < 1)
+
+    @pytest.mark.parametrize("n, dim, sparsity", [(0, 20, 0.2), (1, 5, 1.0), (300, 400, 0.02)])
+    def test_matches_per_point_reference(self, n, dim, sparsity):
+        assert_same_draws(lambda rng: gen_uniform_sparse(n, dim, sparsity, rng=rng),
+                          lambda rng: uniform_reference(n, dim, sparsity, rng), seed=n)
 
 
 class TestGenPowerlawSparse:
@@ -86,7 +124,7 @@ class TestGenPowerlawSparse:
         ds = gen_powerlaw_sparse(10_000, 100, avg_sparsity=0.05, exponent=0.5,
                                  rng=np.random.default_rng(4))
         target = 0.05 * 100
-        mean_nnz = np.mean([p.nnz for p in ds.points])
+        mean_nnz = ds.to_csr().getnnz(axis=1).mean()
         assert abs(mean_nnz - target) <= 0.05 * target
 
     def test_infeasible_scaling_rejected(self):
@@ -96,8 +134,14 @@ class TestGenPowerlawSparse:
     def test_seeded_determinism(self):
         d1 = gen_powerlaw_sparse(10, 50, 0.1, exponent=0.5, rng=np.random.default_rng(5))
         d2 = gen_powerlaw_sparse(10, 50, 0.1, exponent=0.5, rng=np.random.default_rng(5))
-        for p, q in zip(d1.points, d2.points):
-            assert p == q
+        assert [d1[i] for i in range(10)] == [d2[i] for i in range(10)]
+
+    # 200 rows at d = 50,000 draw their masks in three chunks of at most 80 rows
+    @pytest.mark.parametrize("n, dim, avg_sparsity", [(0, 30, 0.1), (40, 300, 0.02),
+                                                      (200, 50_000, 0.0075)])
+    def test_matches_per_point_reference(self, n, dim, avg_sparsity):
+        assert_same_draws(lambda rng: gen_powerlaw_sparse(n, dim, avg_sparsity, 0.5, rng=rng),
+                          lambda rng: powerlaw_reference(n, dim, avg_sparsity, 0.5, rng), seed=n)
 
 
 class TestGenLinks:

@@ -16,6 +16,14 @@ from hdsl.solver import ATOM_DROP_TOL, SolverState
 from hdsl.sparse_data import Dataset, SparseVector
 
 
+def assert_same_csr(got, want):
+    """Equal shape and bit-equal data, indices and indptr, dtypes included."""
+    assert got.shape == want.shape
+    for name in ("data", "indices", "indptr"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
+
 def random_sparse_dataset(rng, n, dim, max_nnz=None, nonneg=True):
     max_nnz = min(max_nnz or dim, dim)
     pts = []
