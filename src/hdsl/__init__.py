@@ -22,7 +22,6 @@ from .model import (
     BasisId,
     Model,
     ProjectionMap,
-    basis_inner,
     deserialize,
     factorize,
     project,

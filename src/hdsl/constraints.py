@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -237,13 +237,28 @@ def truth_triplets(
     return ConstraintSet(samples, triplets)
 
 
+def link_array(links, n: int) -> np.ndarray:
+    """Signed links as an (L, 3) int64 array of (a, b, y), from a sequence
+    of (a, b, y) triples or an (L, 3) integer array. Raises ValueError
+    unless both endpoints lie in [0, n) and y is +1 or -1."""
+    arr = np.asarray(links) if len(links) else np.zeros((0, 3), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 3 or not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"links must be (a, b, y) integer triples, got shape {arr.shape}")
+    if ((arr[:, :2] < 0) | (arr[:, :2] >= n)).any():
+        raise ValueError("link endpoint out of range")
+    if not np.isin(arr[:, 2], (1, -1)).all():
+        raise ValueError("link label must be +1 or -1")
+    return arr.astype(np.int64, copy=False)
+
+
 def link_triplets(
     samples: Dataset,
-    links: Sequence[Tuple[int, int, int]],
+    links,
     rng: Optional[np.random.Generator] = None,
     per_link: int = 1,
 ) -> ConstraintSet:
-    """Triplets from signed links (a, b, y).
+    """Triplets from signed links (a, b, y), given in any form link_array
+    takes: a sequence of triples or an (L, 3) integer array.
 
     A positive link (y=+1) yields (a, b, x3) with x3 drawn from a's
     negatively-linked training neighbors; a negative link yields
@@ -251,29 +266,20 @@ def link_triplets(
     anchor has no usable neighbor of the needed sign are skipped.
     """
     rng = rng or np.random.default_rng()
-    n = len(samples)
-    pos_nbrs: Dict[int, set] = {}
-    neg_nbrs: Dict[int, set] = {}
+    links = link_array(links, len(samples)).tolist()
+    nbrs: Dict[int, Dict[int, set]] = {1: {}, -1: {}}  # y -> point -> its y-linked points
     for a, b, y in links:
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError("link endpoint out of range")
-        table = pos_nbrs if y == 1 else neg_nbrs
-        table.setdefault(int(a), set()).add(int(b))
-        table.setdefault(int(b), set()).add(int(a))
+        nbrs[y].setdefault(a, set()).add(b)
+        nbrs[y].setdefault(b, set()).add(a)
     triplets = []
     skipped = 0
     for a, b, y in links:
-        pool_set = (neg_nbrs if y == 1 else pos_nbrs).get(int(a), set()) - {int(b)}
-        if not pool_set:
+        pool = sorted(nbrs[-y].get(a, set()) - {b})
+        if not pool:
             skipped += 1
             continue
-        pool = np.array(sorted(pool_set))
-        picks = rng.choice(pool, size=per_link, replace=True)
-        for x3 in picks:
-            if y == 1:
-                triplets.append((int(a), int(b), int(x3)))
-            else:
-                triplets.append((int(a), int(x3), int(b)))
+        for x3 in rng.choice(pool, size=per_link).tolist():
+            triplets.append((a, b, x3) if y == 1 else (a, x3, b))
     if skipped:
         logger.warning("link_triplets: skipped %d links without usable neighbors", skipped)
     return ConstraintSet(samples, np.array(triplets, dtype=np.int64).reshape(-1, 3))

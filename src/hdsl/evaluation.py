@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence, Set, Tuple
+from typing import Iterable, Set, Tuple
 
 import numpy as np
 from scipy.stats import rankdata
 
+from .constraints import link_array
 from .model import Model, factorize, project_dataset, to_csr_matrix
 from .sparse_data import Dataset
 
@@ -128,20 +129,17 @@ def entry_recovery_auc(model: Model, truth_entries: Set[Tuple[int, int]]) -> flo
     return float(wins / (n_pos * n_neg))
 
 
-def link_auc(
-    model: Model, samples: Dataset, test_links: Sequence[Tuple[int, int, int]]
-) -> float:
-    """AUC of similarity scores over signed test links (positives: y = +1).
+def link_auc(model: Model, samples: Dataset, test_links) -> float:
+    """AUC of similarity scores over signed test links (positives: y = +1),
+    given in any form link_array takes: a sequence of (a, b, y) triples or
+    an (L, 3) integer array.
 
     Each link scores as the dot product of its endpoints' projections
     (M = L L^T): O(nnz(X) K) to project, O(links K) to score.
     """
-    if not test_links:
+    links = link_array(test_links, len(samples))
+    if links.size == 0:
         raise ValueError("empty link set")
-    links = np.asarray(test_links, dtype=np.int64)
-    ends = links[:, :2]
-    if ends.min() < 0 or ends.max() >= len(samples):
-        raise ValueError("link endpoint out of range")
     proj = project_dataset(factorize(model), samples.to_csr())
-    scores = np.einsum("ij,ij->i", proj[ends[:, 0]], proj[ends[:, 1]])
+    scores = np.einsum("ij,ij->i", proj[links[:, 0]], proj[links[:, 1]])
     return _auc_from_arrays(scores, links[:, 2] == 1)

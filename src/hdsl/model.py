@@ -33,9 +33,18 @@ class BasisId(NamedTuple):
     sign: int
 
 
-def basis_sort_key(b: BasisId):
-    """Deterministic tie-break order: lexicographic (i, j), Pos before Neg."""
-    return (b.i, b.j, 0 if b.sign == POS else 1)
+def basis_order(bases: np.ndarray) -> np.ndarray:
+    """The one tie-break order of bases (K x 3 rows of i, j, sign): (i, j)
+    ascending, Pos before Neg. Returns the stable sorting permutation."""
+    return np.lexsort((-bases[:, 2], bases[:, 1], bases[:, 0]))
+
+
+def _bases_array(rows, dim: int) -> np.ndarray:
+    """Rows of (i, j, sign) as a K x 3 int64 array."""
+    try:
+        return np.array(rows, dtype=np.int64).reshape(-1, 3)
+    except OverflowError:
+        raise ValueError(f"basis index out of range for dim={dim}") from None
 
 
 class Model:
@@ -44,10 +53,7 @@ class Model:
     sign) and weights `alpha`; `atoms` is a new {BasisId: weight} dict."""
 
     def __init__(self, lam: float, dim: int, atoms: Dict[BasisId, float]):
-        try:
-            bases = np.array(list(atoms), dtype=np.int64).reshape(-1, 3)
-        except OverflowError:
-            raise ValueError(f"basis index out of range for dim={dim}") from None
+        bases = _bases_array(list(atoms), dim)
         alpha = np.fromiter(atoms.values(), dtype=np.float64, count=len(atoms))
         self._adopt(lam, dim, bases, alpha)
 
@@ -82,7 +88,7 @@ class Model:
             raise ValueError(f"basis ({i[k]}, {j[k]}, sign {sign[k]}) out of range for "
                              f"dim={self.dim}: needs 0 <= i < j < dim and sign +1 or -1")
         # one row sort; no packed key, which would overflow int64 at large dim
-        rows = self.bases[np.lexsort((sign, j, i))]
+        rows = self.bases[basis_order(self.bases)]
         dup = np.flatnonzero(np.all(rows[1:] == rows[:-1], axis=1))
         if dup.size:
             i0, j0, s0 = rows[dup[0]].tolist()
@@ -114,13 +120,6 @@ class Model:
             and self.dim == other.dim
             and self.atoms == other.atoms
         )
-
-
-def basis_inner(x: SparseVector, d: SparseVector, b: BasisId, lam: float) -> float:
-    """<A, B> for A = x d^T: lam*(x_i d_i + x_j d_j + s*(x_i d_j + x_j d_i))."""
-    xi, xj = x.get(b.i), x.get(b.j)
-    di, dj = d.get(b.i), d.get(b.j)
-    return lam * (xi * di + xj * dj + b.sign * (xi * dj + xj * di))
 
 
 def _values_at(x: SparseVector, idx: np.ndarray) -> np.ndarray:
@@ -196,7 +195,7 @@ class ProjectionMap:
 
 def factorize(m: Model) -> ProjectionMap:
     i, j, sign = m.bases.T
-    order = np.lexsort((-sign, j, i))  # basis_sort_key order: (i, j), Pos before Neg
+    order = basis_order(m.bases)
     coeff = np.sqrt(m.alpha[order] * m.lam)
     return ProjectionMap(i=i[order], j=j[order], sign=sign[order], coeff=coeff, dim=m.dim)
 
@@ -210,6 +209,8 @@ def project(p: ProjectionMap, x: SparseVector) -> np.ndarray:
 
 def project_dataset(p: ProjectionMap, csr: sp.csr_matrix) -> np.ndarray:
     """Vectorized projection of a CSR row-matrix of points; rows map to columns of L."""
+    if csr.shape[1] != p.dim:
+        raise ValueError("dimension mismatch")
     cols_i = np.asarray(csr[:, p.i].todense())
     cols_j = np.asarray(csr[:, p.j].todense())
     return (cols_i + p.sign * cols_j) * p.coeff
@@ -219,11 +220,12 @@ MODEL_HEADER = "hdsl-model 1"
 
 
 def serialize(m: Model) -> str:
-    """Text format: header line, "lambda <v> dim <d>" line, one atom per line."""
+    """Text format: header line, "lambda <v> dim <d>" line, one atom per
+    line in basis_order."""
     lines = [MODEL_HEADER, f"lambda {m.lam:.17g} dim {m.dim}"]
-    for b, a in sorted(m.atoms.items(), key=lambda kv: basis_sort_key(kv[0])):
-        tag = "P" if b.sign == POS else "N"
-        lines.append(f"{tag} {b.i} {b.j} {a:.17g}")
+    order = basis_order(m.bases)
+    for (i, j, sign), a in zip(m.bases[order].tolist(), m.alpha[order].tolist()):
+        lines.append(f"{'P' if sign == POS else 'N'} {i} {j} {a:.17g}")
     return "\n".join(lines) + "\n"
 
 
@@ -240,7 +242,7 @@ def deserialize(source: Union[str, io.TextIOBase]) -> Model:
         raise ValueError(f"malformed lambda/dim line: {lines[1]!r}")
     lam = float(parts[1])
     dim = int(parts[3])
-    atoms: Dict[BasisId, float] = {}
+    rows, weights = [], []
     for ln in lines[2:]:
         ln = ln.strip()
         if not ln:
@@ -248,17 +250,14 @@ def deserialize(source: Union[str, io.TextIOBase]) -> Model:
         fields = ln.split()
         if len(fields) != 4 or fields[0] not in ("P", "N"):
             raise ValueError(f"malformed atom line: {ln!r}")
-        i, j = int(fields[1]), int(fields[2])
-        if i >= j:
-            raise ValueError(f"atom indices must satisfy i < j: {ln!r}")
-        b = BasisId(i, j, POS if fields[0] == "P" else NEG)
-        if b in atoms:
-            raise ValueError(f"duplicate atom {b}")
-        atoms[b] = float(fields[3])
-    total = sum(atoms.values())
+        rows.append((int(fields[1]), int(fields[2]), POS if fields[0] == "P" else NEG))
+        weights.append(float(fields[3]))
+    total = sum(weights)
     if abs(total - 1.0) > WEIGHT_SUM_LOAD_TOL:
         raise ValueError(f"atom weights sum to {total}, expected 1 within {WEIGHT_SUM_LOAD_TOL}")
+    alpha = np.array(weights, dtype=np.float64)
     if abs(total - 1.0) > WEIGHT_SUM_TOL:
         # absorb sub-load-tolerance drift so the in-memory invariant holds
-        atoms = {b: a / total for b, a in atoms.items()}
-    return Model(lam, dim, atoms)
+        alpha /= total
+    # check_invariants rejects i >= j, out-of-range indices and repeated atoms
+    return Model.from_arrays(lam, dim, _bases_array(rows, dim), alpha)

@@ -20,7 +20,7 @@ from typing import Callable, List, Optional, Tuple
 import numpy as np
 import scipy.sparse as sp
 
-from .model import NEG, POS, BasisId, Model
+from .model import NEG, POS, BasisId, Model, basis_order
 from .objective import (
     DENSE_TILE,
     ConstraintSet,
@@ -175,15 +175,14 @@ def _statistic_drift(cs: ConstraintSet, cache: MarginCache, k: int) -> Optional[
     return drift
 
 
-def _lex_min_candidate(scores, ii, jj, signs):
-    """Index of the lowest-score candidate; ties to smallest (i, j, Pos<Neg)."""
+def _lex_min_candidate(scores: np.ndarray, bases: np.ndarray) -> int:
+    """Index of the lowest score, ties to the first in basis_order of
+    `bases` (one row per score); a NaN minimum gives argmin's first NaN."""
     k = int(np.argmin(scores))
     ties = np.flatnonzero(scores == scores[k])
-    if ties.size == 1:
+    if ties.size <= 1:
         return k
-    sign_rank = np.where(np.asarray(signs)[ties] == POS, 0, 1)
-    order = np.lexsort((sign_rank, np.asarray(jj)[ties], np.asarray(ii)[ties]))
-    return int(ties[order[0]])
+    return int(ties[basis_order(bases[ties])[0]])
 
 
 def forward_exact(
@@ -212,7 +211,8 @@ def forward_exact(
     H_ij; (b) the pair of the two smallest diagonal values with sign Pos.
     Any pair with zero cross term scores at least (b)'s candidate, and the
     best pair with a nonzero cross term is already in (a), so the minimum
-    over (a) and (b) is the global one.
+    over (a) and (b) is the global one. Ties go to the first in
+    basis_order, and a NaN score, as in the dense scan, to the first NaN.
     """
     if dim < 2:
         raise ValueError("need at least two features")
@@ -237,18 +237,14 @@ def forward_exact(
     else:
         h = acc.H.tocoo()
         mask = (h.row < h.col) & (h.data != 0.0)
-        iu = h.row[mask]
-        ju = h.col[mask]
-        hu = h.data[mask]
-
+        # candidate (b) joins as a pair with cross term 0, so its sign is Pos
         bi, bj = sorted(np.argsort(c, kind="stable")[:2])  # ties: first occurrences
-        cand_i = np.append(iu, bi)
-        cand_j = np.append(ju, bj)
-        cand_score = np.append(lam * (c[iu] + c[ju] - np.abs(hu)), lam * (c[bi] + c[bj]))
-        cand_sign = np.append(np.where(hu > 0, NEG, POS), POS)
-
-        k = _lex_min_candidate(cand_score, cand_i, cand_j, cand_sign)
-        basis = BasisId(int(cand_i[k]), int(cand_j[k]), int(cand_sign[k]))
+        iu, ju = np.append(h.row[mask], bi), np.append(h.col[mask], bj)
+        hu = np.append(h.data[mask], 0.0)
+        cand = np.column_stack((iu, ju, np.where(hu > 0, NEG, POS)))
+        cand_score = lam * (c[iu] + c[ju] - np.abs(hu))
+        k = _lex_min_candidate(cand_score, cand)
+        basis = BasisId._make(cand[k].tolist())
         score = cand_score[k]
     direction = Direction(kind="F", basis=basis, gamma_max=1.0, score=float(score))
     if cs is not None:
@@ -368,8 +364,8 @@ def away_direction(state: "SolverState", acc: Optional[GradientAccumulators] = N
     else:
         scores = state.A @ state.cache.derivs()
         scores /= state.cache.count
-    # argmax with ties to the smallest (i, j, Pos<Neg)
-    k = _lex_min_candidate(-scores, ii, jj, signs)
+    # argmax with ties to the first in basis_order
+    k = _lex_min_candidate(-scores, m.bases)
     row = slice(*state.A.indptr[k : k + 2])
     alpha = float(m.alpha[k])
     gamma_max = 0.0 if m.n_atoms == 1 else alpha / (1.0 - alpha)
@@ -469,8 +465,9 @@ def _append_row(A: sp.csr_matrix, rows: np.ndarray, vals: np.ndarray) -> sp.csr_
 def apply_step(state: SolverState, d: Direction, gamma: float) -> None:
     """Update the model and the margins for one accepted step.
 
-    Forward scales every weight by (1-gamma) and adds gamma on the chosen
-    basis (appended if new); away scales by (1+gamma) and subtracts. Weights
+    One signed step s (gamma forward, -gamma away) scales every weight by
+    (1 - s) and adds s on the chosen basis; a forward basis that is not
+    active is appended, an away basis must be active. Weights
     at or below the drop tolerance are removed and the rest renormalized by
     their sum in atom order, into a new `state.model`.
     """
@@ -479,21 +476,19 @@ def apply_step(state: SolverState, d: Direction, gamma: float) -> None:
     m = state.model
     bases = m.bases
     hit = np.flatnonzero((bases == d.basis).all(axis=1))
-    if d.kind == "F":
-        alpha = m.alpha * (1.0 - gamma)
-        if hit.size:
-            alpha[hit[0]] += gamma
-        else:
-            alpha = np.append(alpha, gamma)
-            bases = np.vstack([bases, d.basis])
-            state.A = _append_row(state.A, d.inner_rows, d.inner_vals)
-    elif d.kind == "A":
-        if not hit.size:
-            raise ValueError(f"away step from {d.basis}, which is not an active atom")
-        alpha = m.alpha * (1.0 + gamma)
-        alpha[hit[0]] -= gamma
+    if d.kind == "A" and not hit.size:
+        raise ValueError(f"away step from {d.basis}, which is not an active atom")
+    # rejects a kind other than "F" and "A" before any weight changes
+    update_cache_sparse(state.cache, d.kind, gamma, d.inner_rows, d.inner_vals)
+    # one signed step: s = gamma toward d.basis (forward), -gamma away from it
+    s = gamma if d.kind == "F" else -gamma
+    alpha = m.alpha * (1.0 - s)
+    if hit.size:
+        alpha[hit[0]] += s
     else:
-        raise ValueError(f"unknown direction kind {d.kind!r}")
+        alpha = np.append(alpha, s)
+        bases = np.vstack([bases, d.basis])
+        state.A = _append_row(state.A, d.inner_rows, d.inner_vals)
 
     keep = alpha > ATOM_DROP_TOL
     if not keep.any():
@@ -504,7 +499,6 @@ def apply_step(state: SolverState, d: Direction, gamma: float) -> None:
     total = sum(alpha.tolist())
     if total != 1.0:
         alpha /= total
-    update_cache_sparse(state.cache, d.kind, gamma, d.inner_rows, d.inner_vals)
     state.model = Model.from_arrays(m.lam, m.dim, bases, alpha)
 
 

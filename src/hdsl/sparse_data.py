@@ -232,6 +232,8 @@ def scale_to_unit_range(ds: Dataset, scales: Optional[np.ndarray] = None) -> Dat
         raise ValueError("dataset is empty")
     if scales is None:
         scales = feature_scales(ds)
+    if np.shape(scales) != (ds.dim,):
+        raise ValueError(f"scales of shape {np.shape(scales)} for dim={ds.dim}")
     divisor = np.where(scales > 0, scales, 1.0)
     X = ds.to_csr()
     scaled = sp.csr_matrix((X.data / divisor[X.indices], X.indices, X.indptr), shape=X.shape)

@@ -14,6 +14,7 @@ from hdsl.constraints import (
     ranked_blocks,
     truth_triplets,
 )
+from hdsl.evaluation import link_auc
 from hdsl.model import NEG, POS, BasisId, Model
 from hdsl.sparse_data import Dataset, SparseVector
 from hdsl.synthetic import gen_links, gen_truth
@@ -226,6 +227,59 @@ class TestLinkTriplets:
         t1 = link_triplets(ds, links, np.random.default_rng(5), per_link=2).triplets
         t2 = link_triplets(ds, links, np.random.default_rng(5), per_link=2).triplets
         np.testing.assert_array_equal(t1, t2)
+
+
+class TestLinkInput:
+    """link_triplets and link_auc take links as a list of (a, b, y) or an
+    (L, 3) integer array, and reject any other shape, an endpoint outside
+    [0, n) and a label other than +1 or -1."""
+
+    def instance(self):
+        rng = np.random.default_rng(16)
+        samples = random_sparse_dataset(rng, 40, 20, max_nnz=6)
+        links = gen_links(samples, gen_truth(20, n_bases=6, rng=rng), n_links=40, top_frac=0.1, rng=rng)
+        return samples, gen_truth(20, n_bases=4, rng=rng), links
+
+    def test_array_links_match_list_links(self):
+        samples, m, links = self.instance()
+        arr = np.array(links)
+        assert link_auc(m, samples, arr) == link_auc(m, samples, links)
+        rngs = np.random.default_rng(3), np.random.default_rng(3)
+        got = link_triplets(samples, arr, rng=rngs[0], per_link=2).triplets
+        want = link_triplets(samples, links, rng=rngs[1], per_link=2).triplets
+        np.testing.assert_array_equal(got, want)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state
+
+    @pytest.mark.parametrize("y", [0, 7, 2, -2])
+    def test_label_other_than_plus_minus_one_rejected(self, y):
+        samples, m, links = self.instance()
+        bad = links[:5] + [(0, 1, y)] + links[5:]
+        for form in (bad, np.array(bad)):
+            with pytest.raises(ValueError, match="label"):
+                link_triplets(samples, form, rng=np.random.default_rng(0))
+            with pytest.raises(ValueError, match="label"):
+                link_auc(m, samples, form)
+
+    @pytest.mark.parametrize("bad", [
+        [(0, 1), (2, 3)],
+        [(0, 1, 1, 0)],
+        np.array([0, 1, 1]),
+        np.array([[0.0, 1.0, 1.0], [2.0, 3.0, -1.0]]),
+    ])
+    def test_wrong_shape_or_type_rejected(self, bad):
+        samples, m, _ = self.instance()
+        with pytest.raises(ValueError, match="triples"):
+            link_triplets(samples, bad)
+        with pytest.raises(ValueError, match="triples"):
+            link_auc(m, samples, bad)
+
+    def test_endpoint_out_of_range_rejected(self):
+        samples, m, _ = self.instance()
+        for bad in ([(0, 40, 1)], np.array([[-1, 3, -1]])):
+            with pytest.raises(ValueError, match="link endpoint out of range"):
+                link_triplets(samples, bad)
+            with pytest.raises(ValueError, match="link endpoint out of range"):
+                link_auc(m, samples, bad)
 
 
 def tied_dataset(rng, n, dim=12, labels=3):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.stats import rankdata
 
 from hdsl.evaluation import (
@@ -121,6 +122,16 @@ class TestKnnError:
         ds = self.separated_dataset()
         with pytest.raises(ValueError, match="at least 1"):
             knn_error(self.block_model(), ds, ds, k=k)
+
+    def test_dataset_of_another_dim_rejected(self):
+        ds = self.separated_dataset()
+        X = ds.to_csr()
+        narrow = Dataset.from_csr(X[:, :3], ds.labels)
+        wide = Dataset.from_csr(sp.csr_matrix((X.data, X.indices, X.indptr), shape=(6, 8)), ds.labels)
+        for other in (narrow, wide):
+            for train, test in ((ds, other), (other, ds), (other, other)):
+                with pytest.raises(ValueError, match="dimension mismatch"):
+                    knn_error(self.block_model(), train, test, k=1)
 
     def test_unlabeled_rejected(self):
         ds = self.separated_dataset()
@@ -353,6 +364,14 @@ class TestLinkAuc:
         for bad in ([(-1, 1, 1), (2, 3, -1)], [(0, 1, 1), (2, 10, -1)]):
             with pytest.raises(ValueError, match="out of range"):
                 link_auc(m, samples, bad)
+
+    def test_samples_of_another_dim_rejected(self):
+        rng = np.random.default_rng(15)
+        m = Model(1.0, 8, {BasisId(0, 1, POS): 1.0})
+        for dim in (6, 12):
+            samples = gen_uniform_sparse(10, dim, sparsity=0.5, rng=rng)
+            with pytest.raises(ValueError, match="dimension mismatch"):
+                link_auc(m, samples, [(0, 1, 1), (2, 3, -1)])
 
     def test_matches_per_pair_similarity(self):
         rng = np.random.default_rng(13)

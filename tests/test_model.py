@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdsl.model import (
     NEG,
     POS,
     BasisId,
     Model,
-    basis_inner,
-    basis_sort_key,
+    basis_order,
     deserialize,
     factorize,
     project,
@@ -19,7 +20,7 @@ from hdsl.model import (
 )
 from hdsl.sparse_data import Dataset, SparseVector
 
-from util import reference_entries
+from util import basis_inner, reference_entries
 
 
 def sv(pairs, dim):
@@ -64,8 +65,41 @@ def random_vec(rng, d, max_nnz=None):
 
 class TestBasisId:
     def test_sort_key_pos_before_neg(self):
-        assert basis_sort_key(BasisId(0, 1, POS)) < basis_sort_key(BasisId(0, 1, NEG))
-        assert basis_sort_key(BasisId(0, 1, NEG)) < basis_sort_key(BasisId(0, 2, POS))
+        bases = np.array([[0, 2, POS], [0, 1, NEG], [0, 1, POS]])
+        assert basis_order(bases).tolist() == [2, 1, 0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_order_matches_sorted_with_the_tuple_key(self, data):
+        # pairs from a small pool, so pairs often come with both signs (and
+        # repeat); one pair past 2**31 always comes with both
+        index = st.one_of(st.integers(0, 5), st.integers(2**31 - 2, 2**31 + 2), st.integers(0, 2**62))
+        pool = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=6), label="pairs")
+        rows = data.draw(st.lists(st.tuples(st.sampled_from(pool), st.sampled_from([POS, NEG])),
+                                  max_size=30), label="rows")
+        rows += [((2**31, 2**31 + 1), POS), ((2**31, 2**31 + 1), NEG)]
+        rows = data.draw(st.permutations(rows), label="order")
+        bases = np.array([(i, j, sign) for (i, j), sign in rows], dtype=np.int64)
+
+        def key(k):
+            i, j, sign = bases[k].tolist()
+            return (i, j, 0 if sign == POS else 1)
+
+        assert basis_order(bases).tolist() == sorted(range(len(bases)), key=key)
+
+    def test_serialize_and_factorize_follow_basis_order(self):
+        # every pair with both signs, inserted in a shuffled order
+        rng = np.random.default_rng(7)
+        big = 2**31
+        pairs = [(0, 1), (0, 2), (1, 2), (0, big), (big - 1, big), (big, big + 1)]
+        bases = np.array([(i, j, s) for i, j in pairs for s in (POS, NEG)], dtype=np.int64)
+        bases = bases[rng.permutation(len(bases))]
+        m = Model.from_arrays(2.0, big + 2, bases, np.full(len(bases), 1.0 / len(bases)))
+        want = bases[basis_order(bases)].tolist()
+        lines = serialize(m).splitlines()[2:]
+        assert [[int(i), int(j), POS if t == "P" else NEG] for t, i, j, _ in map(str.split, lines)] == want
+        p = factorize(m)
+        assert np.column_stack((p.i, p.j, p.sign)).tolist() == want
 
 
 class TestModelInvariants:
@@ -124,6 +158,10 @@ class TestModelInvariants:
     def test_repeated_basis_named_in_the_error(self):
         bases = np.array([[2, 3, POS], [0, 3, NEG], [0, 3, POS], [0, 3, NEG]])
         with pytest.raises(ValueError, match=r"basis \(0, 3, sign -1\) appears more than once"):
+            Model.from_arrays(1.0, 4, bases, np.full(4, 0.25))
+        # two repeated groups on one pair: the first in basis_order is named
+        bases = np.array([[0, 3, NEG], [0, 3, POS], [0, 3, NEG], [0, 3, POS]])
+        with pytest.raises(ValueError, match=r"basis \(0, 3, sign 1\) appears more than once"):
             Model.from_arrays(1.0, 4, bases, np.full(4, 0.25))
 
     def test_distinct_bases_accepted_at_huge_dim(self):
@@ -369,6 +407,12 @@ class TestFactorization:
         np.testing.assert_allclose(project(p2, both), [0.0])
         np.testing.assert_allclose(project(p2, sv([], 2)), [0.0])
 
+    @pytest.mark.parametrize("cols", [9, 11, 20])
+    def test_project_dataset_dimension_mismatch(self, cols):
+        p = factorize(random_model(np.random.default_rng(42), 10, 4))
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            project_dataset(p, Dataset([sv([(0, 1.0), (cols - 1, 2.0)], cols)], dim=cols).to_csr())
+
     def test_project_dataset_matches_pointwise(self):
         rng = np.random.default_rng(41)
         m = random_model(rng, 10, 4)
@@ -410,11 +454,14 @@ class TestSerialization:
         with pytest.raises(ValueError):
             deserialize(text)
 
-    @pytest.mark.parametrize("atom", ["P 0 5 1", "P 0 99999999999999999999999 1", "P -99999999999999999999999 1 1"])
+    @pytest.mark.parametrize("atom", ["P 0 5 1", "P 0 99999999999999999999999 1", "P -99999999999999999999999 1 1",
+                                      "P 1 1 1", "N 3 2 1"])
     def test_out_of_range_index_rejected(self, atom):
         with pytest.raises(ValueError, match="out of range"):
             deserialize(f"hdsl-model 1\nlambda 1 dim 4\n{atom}\n")
 
     def test_duplicate_atom_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="appears more than once"):
             deserialize("hdsl-model 1\nlambda 1 dim 4\nP 0 1 0.5\nP 0 1 0.5\n")
+        with pytest.raises(ValueError, match=r"basis \(2, 3, sign -1\) appears more than once"):
+            deserialize("hdsl-model 1\nlambda 1 dim 4\nN 2 3 0.25\nP 0 1 0.5\nN 2 3 0.25\n")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from hdsl.model import NEG, POS, BasisId, Model, basis_inner
+from hdsl.model import NEG, POS, BasisId, Model
 from hdsl.objective import (
     ConstraintSet,
     MarginCache,
@@ -18,7 +18,7 @@ from hdsl.objective import (
 )
 from hdsl.sparse_data import Dataset, SparseVector
 
-from util import reference_triplet_view
+from util import basis_inner, reference_triplet_view
 
 # the module, not the `objective` function the package exports by that name
 objective_mod = importlib.import_module("hdsl.objective")

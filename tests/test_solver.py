@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 
 import hdsl.solver as solver_mod
-from hdsl.model import NEG, POS, BasisId, Model, serialize
+from hdsl.model import NEG, POS, BasisId, Model, basis_order, serialize
 from hdsl.objective import ConstraintSet, MarginCache, init_cache, objective, smoothed_hinge_deriv
 from hdsl.solver import (
     Direction,
@@ -28,6 +28,7 @@ from hdsl.solver import (
     train,
     _gap_rounding,
     _gap_rounding_cap,
+    _lex_min_candidate,
     _partner_scores,
 )
 from hdsl.sparse_data import Dataset, SparseVector
@@ -393,6 +394,48 @@ class TestForwardExact:
             d_sparse = forward_exact(sparse_acc, 2.0, dim)
             assert d_dense.basis == d_sparse.basis
             assert d_dense.score == pytest.approx(d_sparse.score, abs=1e-13)
+
+
+class TestTieBreak:
+    def test_pick_follows_basis_order(self):
+        # every pair with both signs, shuffled; scores tie in groups
+        rng = np.random.default_rng(8)
+        big = 2**31
+        pairs = [(0, 1), (0, 2), (1, 2), (0, big), (big - 1, big), (big, big + 1)]
+        bases = np.array([(i, j, s) for i, j in pairs for s in (POS, NEG)], dtype=np.int64)
+        for _ in range(50):
+            bases = bases[rng.permutation(len(bases))]
+            scores = rng.integers(0, 3, size=len(bases)).astype(float)
+            low = np.flatnonzero(scores == scores.min())
+            k = _lex_min_candidate(scores, bases)
+            assert k == low[basis_order(bases[low])[0]]
+
+    def test_nan_minimum_gives_the_first_nan(self):
+        bases = np.array([[0, 1, POS], [0, 1, NEG], [0, 2, POS], [1, 2, NEG]])
+        assert _lex_min_candidate(np.array([1.0, np.nan, 0.5, np.nan]), bases) == 1
+        assert _lex_min_candidate(np.array([np.nan, 0.5, 0.5, 0.5]), bases) == 0
+
+    def test_sparse_forward_nan_matches_dense_pick(self):
+        # a NaN cross term makes its pair's score NaN; both branches pick it
+        H = np.zeros((5, 5))
+        H[0, 1] = H[1, 0] = 2.0
+        H[1, 3] = H[3, 1] = np.nan
+        H[2, 4] = H[4, 2] = -3.0
+        dense = forward_exact(GradientAccumulators(H, count=1), 1.0, 5)
+        got = forward_exact(GradientAccumulators(sp.csr_matrix(H), count=1), 1.0, 5)
+        assert got.basis == dense.basis == BasisId(1, 3, POS)
+        assert np.isnan(got.score) and np.isnan(dense.score)
+
+    def test_away_nan_score_gives_the_first_nan(self):
+        rng = np.random.default_rng(9)
+        cs = random_instance(rng, 6, T=12)
+        m = Model(1.0, 6, {BasisId(0, 1, POS): 0.25, BasisId(2, 3, NEG): 0.25,
+                           BasisId(1, 4, POS): 0.25, BasisId(3, 5, POS): 0.25})
+        state = solver_state(cs, m)
+        H = np.ones((6, 6))
+        H[2, 3] = H[3, 2] = H[3, 5] = H[5, 3] = np.nan
+        d = away_direction(state, GradientAccumulators(H, count=1))
+        assert d.basis == BasisId(2, 3, NEG) and np.isnan(d.score)
 
 
 class TestDenseTiledScan:

@@ -174,6 +174,12 @@ class TestScaleToUnitRange:
         with pytest.raises(ValueError):
             scale_to_unit_range(Dataset([], dim=3))
 
+    @pytest.mark.parametrize("size", [1, 2, 4, 6])
+    def test_scales_of_another_dim_rejected(self, size):
+        ds = Dataset([sv([(0, 1.0), (2, 3.0)], 3)])
+        with pytest.raises(ValueError, match="scales"):
+            scale_to_unit_range(ds, scales=np.ones(size))
+
     def test_range_property(self):
         rng = np.random.default_rng(11)
         pts = [_random_vec(rng, 20) for _ in range(30)]

@@ -24,6 +24,14 @@ def assert_same_csr(got, want):
         assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
 
 
+def basis_inner(x: SparseVector, d: SparseVector, b: BasisId, lam: float) -> float:
+    """<A, B> for A = x d^T, one basis at a time: lam*(x_i d_i + x_j d_j +
+    s*(x_i d_j + x_j d_i)); the reference for ConstraintSet.pair_inners."""
+    xi, xj = x.get(b.i), x.get(b.j)
+    di, dj = d.get(b.i), d.get(b.j)
+    return lam * (xi * di + xj * dj + b.sign * (xi * dj + xj * di))
+
+
 def random_sparse_dataset(rng, n, dim, max_nnz=None, nonneg=True):
     max_nnz = min(max_nnz or dim, dim)
     pts = []
