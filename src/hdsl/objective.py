@@ -9,6 +9,8 @@ for a fixed input order.
 
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
 import numpy as np
@@ -21,6 +23,30 @@ from .sparse_data import Dataset
 # statistic: a 128 x 128 float64 tile is 128 KB, and a 128-row band of a
 # d = 2,000 H is 2 MB
 DENSE_TILE = 128
+
+
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one (Linux; so `taskset` and cpusets count), else
+    os.cpu_count(), else 1."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_bands(fn, d: int, tile: int) -> list:
+    """[fn(rows) for each band `rows` = slice(lo, lo + tile) of range(d)],
+    in band order. With more than one band and more than one usable CPU the
+    bands run on a thread pool of one worker per usable CPU (at most one
+    per band), created here and joined before the call returns; numpy and
+    scipy's sparse kernels release the GIL, so the bands overlap. fn must
+    write only to what its own band owns."""
+    bands = [slice(lo, lo + tile) for lo in range(0, d, tile)]
+    workers = min(len(bands), usable_cpus()) if len(bands) > 1 else 1
+    if workers == 1:
+        return [fn(rows) for rows in bands]
+    with ThreadPoolExecutor(workers) as pool:
+        return list(pool.map(fn, bands))
 
 
 def smoothed_hinge(m):
@@ -138,9 +164,16 @@ class ConstraintSet:
 
         The result is a dense d x d array when d*d <= DENSE_CELL_LIMIT, and
         CSR otherwise. It is exactly symmetric. The dense result is the one
-        d x d array the call allocates: C is densified (or comes dense from
-        a dense P) and turned into C + C^T in place by _add_transpose, one
-        O(d^2) pass in DENSE_TILE x DENSE_TILE tile pairs.
+        d x d array the call allocates: C comes dense from a dense P, or,
+        from a CSR P, is computed in DENSE_TILE-row feature bands, each
+        band's sparse product densified straight into its rows of the
+        result, and then turned into C + C^T in place by _add_transpose,
+        one O(d^2) pass in DENSE_TILE x DENSE_TILE tile pairs. Besides it,
+        only the sparse W P and one sparse band product per worker are
+        alive. A CSR result stacks its band products (one band per usable
+        CPU) into C before adding C^T. The bands run on _map_bands' thread
+        pool; every row of a sparse product is computed on its own, so the
+        result holds the same bits for any number of CPUs.
         """
         if subset is None:
             if self._full_pattern is None:
@@ -160,9 +193,18 @@ class ConstraintSet:
             W.indptr = np.searchsorted(keep, indptr).astype(indptr.dtype)
         else:
             W.data, W.indices, W.indptr = data, indices, indptr
-        C = PuT @ (W @ self.P)
-        if self.dim * self.dim <= self.DENSE_CELL_LIMIT:
-            return _add_transpose(C if isinstance(C, np.ndarray) else C.toarray())
+        WP = W @ self.P
+        d = self.dim
+        dense = d * d <= self.DENSE_CELL_LIMIT
+        if isinstance(WP, np.ndarray):
+            C = PuT @ WP
+            return _add_transpose(C) if dense else C + C.T
+        if dense:
+            C = np.empty((d, d))
+            _map_bands(lambda rows: (PuT[rows] @ WP).toarray(out=C[rows]), d, DENSE_TILE)
+            return _add_transpose(C)
+        bands = _map_bands(lambda rows: PuT[rows] @ WP, d, -(-d // usable_cpus()))
+        C = bands[0] if len(bands) == 1 else sp.vstack(bands, format="csr")
         return C + C.T
 
     def _anchor_pattern(self, tri: np.ndarray):
@@ -207,24 +249,30 @@ def _add_transpose(C: np.ndarray) -> np.ndarray:
     copy of that, transposed; float addition commutes, so both halves hold
     the same bits. A diagonal tile adds a copy of its own transpose, which
     at d = 64 is faster than numpy's buffering of the overlapping view.
+    Row band r reads and writes only tiles (r, c >= r) and their mirrors,
+    so the bands run on _map_bands' pool. No other d x d array is made:
+    each worker's temporaries are tile-sized.
     """
-    d = C.shape[0]
-    for r in range(0, d, DENSE_TILE):
-        rows = slice(r, r + DENSE_TILE)
-        tile = C[rows, rows]
-        tile += tile.T.copy()
-        for c in range(r + DENSE_TILE, d, DENSE_TILE):
-            cols = slice(c, c + DENSE_TILE)
+    d, tile = C.shape[0], DENSE_TILE
+
+    def band(rows):
+        diag = C[rows, rows]
+        diag += diag.T.copy()
+        for c in range(rows.stop, d, tile):
+            cols = slice(c, c + tile)
             C[rows, cols] += C[cols, rows].T
             C[cols, rows] = C[rows, cols].T
+
+    _map_bands(band, d, tile)
     return C
 
 
 class MarginCache:
     """Cached per-constraint margins m_t = <A^t, M>, updated in O(T) per step.
 
-    derivs() is computed once per update: assigning `margins` (`*=` too)
-    drops it, so index writes go to a local array that is assigned back.
+    derivs() and grad_inner_with_model's <M, grad f> are computed once per
+    update: assigning `margins` (`*=` too) drops both, so index writes go
+    to a local array that is assigned back.
     `statistic` is the exact oracle's running full-set pair statistic,
     (constraint set, unscaled H, the derivs it was built from), which the
     solver's gradient_accumulate keeps; None until the first such call.
@@ -242,6 +290,7 @@ class MarginCache:
     def margins(self, value: np.ndarray) -> None:
         self._margins = np.asarray(value, dtype=np.float64)
         self._derivs = None
+        self._grad_inner = None
 
     @property
     def count(self) -> int:
@@ -286,7 +335,10 @@ def update_cache_sparse(cache: MarginCache, kind: str, gamma: float, rows: np.nd
 
 
 def grad_inner_with_model(cache: MarginCache) -> float:
-    """<M, grad f(M)> = (1/T) * sum_t l'(m_t) * m_t (linearity in A^t)."""
+    """<M, grad f(M)> = (1/T) * sum_t l'(m_t) * m_t (linearity in A^t),
+    kept on the cache until its margins change."""
     if cache.count == 0:
         raise ValueError("empty margin cache")
-    return float(np.mean(cache.derivs() * cache.margins))
+    if cache._grad_inner is None:
+        cache._grad_inner = float(np.mean(cache.derivs() * cache.margins))
+    return cache._grad_inner

@@ -109,8 +109,11 @@ class GradientAccumulators:
     statistic the number of loss derivatives that changed.
 
     With a dense H, a gradient_accumulate call allocates two d x d
-    arrays: pair_statistic's result (the fresh H, or the delta that is
-    added into the running H and dropped) and the scaled copy H here.
+    arrays, one after the other: pair_statistic's result (the fresh H, or
+    the delta that is added into the running H and dropped) and the scaled
+    copy H here. With the running H on the cache, two d x d arrays are
+    alive at once, or three while the caller still holds the previous
+    call's accumulators; train drops those before each oracle call.
     """
 
     def __init__(self, H, count: int, rows: Optional[int] = None):
@@ -448,10 +451,14 @@ class SolverState:
 
     @classmethod
     def from_model(cls, cs: ConstraintSet, model: Model) -> "SolverState":
-        A = sp.csr_matrix((0, len(cs)))
-        for b in model.bases.tolist():
-            A = _append_row(A, *cs.pair_inners(*b, model.lam))
-        return cls(model, A, init_cache(cs, model))
+        """The state of `model`: one pair_inners call per atom, and the
+        margins as A^T alpha. That product adds alpha_k * <A^t, B_k> into
+        each margin in atom order, as init_cache does, so the bits match."""
+        rows, vals = zip(*(cs.pair_inners(*b, model.lam) for b in model.bases.tolist()))
+        indptr = np.cumsum([0] + [r.size for r in rows])
+        A = sp.csr_matrix((np.concatenate(vals), np.concatenate(rows), indptr),
+                          shape=(model.n_atoms, len(cs)))
+        return cls(model, A, MarginCache(A.T @ model.alpha))
 
 
 def _append_row(A: sp.csr_matrix, rows: np.ndarray, vals: np.ndarray) -> sp.csr_matrix:
@@ -572,7 +579,9 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
     stale_evals = 0
 
     for k in range(cfg.max_iters):
-        drift = stat_drift = None
+        # the last iteration's scaled H goes before the statistic is rebuilt
+        # or updated, so that no third d x d array is alive meanwhile
+        acc = drift = stat_drift = None
         if k > 0 and k % RECOMPUTE_EVERY == 0:
             fresh = init_cache(cs, state.model).margins
             drift = float(np.max(np.abs(state.cache.margins - fresh)))

@@ -1,4 +1,7 @@
 import importlib
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -14,6 +17,7 @@ from hdsl.objective import (
     smoothed_hinge,
     smoothed_hinge_deriv,
     update_cache_sparse,
+    usable_cpus,
     _add_transpose,
 )
 from hdsl.sparse_data import Dataset, SparseVector
@@ -283,6 +287,125 @@ class TestAddTranspose:
                 np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
 
+class TestUsableCpus:
+    def test_affinity_set_where_the_platform_has_one(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert usable_cpus() == 3
+
+    @pytest.mark.parametrize("count, expected", [(6, 6), (None, 1)])
+    def test_cpu_count_without_affinity(self, count, expected, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: count)
+        assert usable_cpus() == expected
+
+
+class TestBandPool:
+    """pair_statistic's band products and _add_transpose's row bands run
+    on a thread pool when there are several bands and CPUs; the results
+    must hold the bits of the one-worker path, and no thread may outlive
+    the call."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The number of thread pools made so far, as a one-item list."""
+        made = [0]
+        real = objective_mod.ThreadPoolExecutor
+
+        def counting(*args, **kwargs):
+            made[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(objective_mod, "ThreadPoolExecutor", counting)
+        return made
+
+    @staticmethod
+    def on_cpus(monkeypatch, n, fn, *args):
+        # a short switch interval makes the workers interleave often, so
+        # that a band writing outside its own rows would show
+        monkeypatch.setattr(objective_mod, "usable_cpus", lambda: n)
+        threads, interval = threading.active_count(), sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            out = fn(*args)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        return out
+
+    @staticmethod
+    def instance(rng, dim):
+        # sparse points and a dense H, the recovery benchmark's form
+        ds = random_dataset(rng, 40, dim, max_nnz=max(2, dim // 4))
+        cs = random_constraints(rng, ds, 120)
+        assert sp.issparse(cs.P)
+        return cs
+
+    @pytest.mark.parametrize("tile", [4, 128])
+    def test_dense_statistic_bit_equal_to_one_worker(self, tile, monkeypatch, pools):
+        monkeypatch.setattr(ConstraintSet, "DENSE_DIM_LIMIT", 0)
+        monkeypatch.setattr(objective_mod, "DENSE_TILE", tile)
+        rng = np.random.default_rng(400 + tile)
+        for dim in (tile - 1, tile, tile + 1, 2 * tile, 2 * tile + 1):
+            cs = self.instance(rng, dim)
+            g = rng.uniform(-1.0, 0.0, size=len(cs))
+            g[rng.random(len(cs)) < 0.3] = 0.0
+            for subset in (None, np.arange(0, len(cs), 3)):
+                serial = self.on_cpus(monkeypatch, 1, cs.pair_statistic, g, subset)
+                made = pools[0]
+                pooled = self.on_cpus(monkeypatch, 4, cs.pair_statistic, g, subset)
+                # a pool for the product and one for the transpose, or none
+                # with a single band
+                assert pools[0] - made == (2 if dim > tile else 0)
+                assert isinstance(pooled, np.ndarray) and pooled.shape == (dim, dim)
+                np.testing.assert_array_equal(pooled.view(np.int64), serial.view(np.int64))
+                np.testing.assert_array_equal(pooled, pooled.T)
+
+    def test_sparse_statistic_equal_to_one_worker(self, monkeypatch, pools):
+        monkeypatch.setattr(ConstraintSet, "DENSE_CELL_LIMIT", 0)
+        rng = np.random.default_rng(410)
+        for dim in (3, 4, 5, 17, 60):
+            cs = self.instance(rng, dim)
+            g = rng.uniform(-1.0, 0.0, size=len(cs))
+            for subset in (None, np.arange(1, len(cs), 2)):
+                serial = self.on_cpus(monkeypatch, 1, cs.pair_statistic, g, subset)
+                made = pools[0]
+                pooled = self.on_cpus(monkeypatch, 4, cs.pair_statistic, g, subset)
+                assert pools[0] - made == 1
+                assert sp.issparse(pooled) and pooled.shape == (dim, dim)
+                assert (pooled != serial).nnz == 0
+                assert (pooled != pooled.T).nnz == 0
+
+    @pytest.mark.parametrize("tile", [1, 3, 7])
+    def test_add_transpose_bands_bit_equal_to_full_sum(self, tile, monkeypatch, pools):
+        monkeypatch.setattr(objective_mod, "DENSE_TILE", tile)
+        rng = np.random.default_rng(420 + tile)
+        for d in (2 * tile + 1, 4 * tile, 5 * tile - 1):
+            for cpus in (1, 4):
+                C = rng.normal(size=(d, d)) * rng.choice([1.0, 1 / 3])
+                C[rng.random((d, d)) < 0.2] = -0.0
+                expected = C + C.T
+                made = pools[0]
+                got = self.on_cpus(monkeypatch, cpus, _add_transpose, C)
+                assert pools[0] - made == (cpus > 1)
+                assert got is C
+                np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
+
+    def test_band_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(objective_mod, "usable_cpus", lambda: 4)
+
+        def band(rows):
+            if rows.start == 6:
+                raise FloatingPointError("band 6")
+            return rows.start
+
+        threads = threading.active_count()
+        with pytest.raises(FloatingPointError, match="band 6"):
+            objective_mod._map_bands(band, 10, 3)
+        assert threading.active_count() == threads
+        assert objective_mod._map_bands(lambda rows: rows.start, 10, 3) == [0, 3, 6, 9]
+
+
 class TestUpdateCache:
     """update_cache_sparse against the step formulas on dense basis inners."""
 
@@ -318,6 +441,21 @@ class TestUpdateCache:
 
 
 class TestGradInnerWithModel:
+    def test_kept_until_the_margins_change(self):
+        rng = np.random.default_rng(7)
+        cache = MarginCache(rng.uniform(-0.5, 1.5, size=50))
+        first = grad_inner_with_model(cache)
+        assert first == float(np.mean(smoothed_hinge_deriv(cache.margins) * cache.margins))
+        assert cache._grad_inner == first
+        rows = np.sort(rng.choice(50, size=9, replace=False))
+        for kind in ("F", "A"):
+            update_cache_sparse(cache, kind, 0.3, rows, rng.uniform(-1.0, 1.0, size=9))
+            assert cache._grad_inner is None
+            fresh = float(np.mean(smoothed_hinge_deriv(cache.margins) * cache.margins))
+            assert grad_inner_with_model(cache) == fresh
+            assert grad_inner_with_model(cache) == fresh
+        assert fresh != first
+
     def test_all_satisfied_is_zero(self):
         assert grad_inner_with_model(MarginCache(np.array([1.0, 3.0]))) == 0.0
 

@@ -1,4 +1,5 @@
 import importlib
+import threading
 import tracemalloc
 
 import numpy as np
@@ -51,6 +52,9 @@ from util import (
     reference_partner_scores,
     solver_state,
 )
+
+# the module, not the `objective` function the package exports by that name
+objective_mod = importlib.import_module("hdsl.objective")
 
 
 def sv(pairs, dim):
@@ -266,6 +270,26 @@ class TestRunningStatistic:
         m3, _ = train(ConstraintSet(cs.dataset, cs.triplets), cfg)
         assert serialize(m1) == serialize(m2) == serialize(m3)
         assert h1 == h2
+
+    @pytest.mark.parametrize("limit", ["DENSE_DIM_LIMIT", "DENSE_CELL_LIMIT"])
+    def test_same_model_on_any_cpu_count(self, limit, monkeypatch):
+        # sparse points, with a dense H in 4-row bands or a CSR H: the
+        # pooled band products give the serial path's model and history
+        monkeypatch.setattr(ConstraintSet, limit, 0)
+        monkeypatch.setattr(objective_mod, "DENSE_TILE", 4)
+        monkeypatch.setattr(solver_mod, "RECOMPUTE_EVERY", 10)
+        cs = random_instance(np.random.default_rng(94), 18, T=80)
+        assert sp.issparse(cs.P)
+        cfg = SolverConfig(lam=3.0, max_iters=30, gap_tol=0.0)
+        runs = []
+        for cpus in (1, 4):
+            monkeypatch.setattr(objective_mod, "usable_cpus", lambda: cpus)
+            threads = threading.active_count()
+            model, history = train(cs, cfg)
+            assert threading.active_count() == threads
+            runs.append((serialize(model), history))
+        assert runs[0] == runs[1]
+        assert any("stat_drift" in h for h in runs[0][1])
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_corrupted_statistic_raises_at_recompute(self, sparse, monkeypatch):
@@ -1018,6 +1042,29 @@ class TestApplyStep:
         assert state.model == m
         assert list(state.model.atoms) == list(m.atoms)
         np.testing.assert_array_equal(state.cache.margins, init_cache(cs, m).margins)
+
+    def test_from_model_one_pair_inners_per_atom(self, monkeypatch):
+        rng = np.random.default_rng(69)
+        cs = random_instance(rng, 12, T=60)
+        m = random_model(rng, 12, 15, lam=1.3)
+        calls = []
+        real = ConstraintSet.pair_inners
+
+        def counting(self, *basis):
+            calls.append(basis[:3])
+            return real(self, *basis)
+
+        monkeypatch.setattr(ConstraintSet, "pair_inners", counting)
+        state = SolverState.from_model(cs, m)
+        assert calls == [tuple(b) for b in m.bases.tolist()]
+        monkeypatch.undo()
+        want = init_cache(cs, m).margins
+        np.testing.assert_array_equal(state.cache.margins.view(np.int64), want.view(np.int64))
+        assert state.A.shape == (m.n_atoms, len(cs))
+        for k, b in enumerate(m.bases.tolist()):
+            rows, vals = cs.pair_inners(*b, m.lam)
+            np.testing.assert_array_equal(state.A.indices[state.A.indptr[k]:state.A.indptr[k + 1]], rows)
+            np.testing.assert_array_equal(state.A.data[state.A.indptr[k]:state.A.indptr[k + 1]], vals)
 
     def test_matches_dict_reference_bit_for_bit(self):
         # forward steps from a pool of 42 bases add and re-hit atoms, away
