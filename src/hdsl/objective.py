@@ -34,16 +34,16 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_bands(fn, d: int, tile: int) -> list:
+def _map_bands(fn, d: int, tile: int, workers: int) -> list:
     """[fn(rows) for each band `rows` = slice(lo, lo + tile) of range(d)],
-    in band order. With more than one band and more than one usable CPU the
-    bands run on a thread pool of one worker per usable CPU (at most one
-    per band), created here and joined before the call returns; numpy and
-    scipy's sparse kernels release the GIL, so the bands overlap. fn must
-    write only to what its own band owns."""
+    in band order. With more than one band and workers > 1 the bands run on
+    a thread pool of that many workers (at most one per band), created here
+    and joined before the call returns; numpy and scipy's sparse kernels
+    release the GIL, so the bands overlap. fn must write only to what its
+    own band owns."""
     bands = [slice(lo, lo + tile) for lo in range(0, d, tile)]
-    workers = min(len(bands), usable_cpus()) if len(bands) > 1 else 1
-    if workers == 1:
+    workers = min(len(bands), workers)
+    if workers <= 1:
         return [fn(rows) for rows in bands]
     with ThreadPoolExecutor(workers) as pool:
         return list(pool.map(fn, bands))
@@ -167,13 +167,14 @@ class ConstraintSet:
         d x d array the call allocates: C comes dense from a dense P, or,
         from a CSR P, is computed in DENSE_TILE-row feature bands, each
         band's sparse product densified straight into its rows of the
-        result, and then turned into C + C^T in place by _add_transpose,
-        one O(d^2) pass in DENSE_TILE x DENSE_TILE tile pairs. Besides it,
-        only the sparse W P and one sparse band product per worker are
-        alive. A CSR result stacks its band products (one band per usable
-        CPU) into C before adding C^T. The bands run on _map_bands' thread
-        pool; every row of a sparse product is computed on its own, so the
-        result holds the same bits for any number of CPUs.
+        result; then _add_transpose turns C into C + C^T in place, one
+        O(d^2) pass in DENSE_TILE x DENSE_TILE tile pairs. Besides it, only
+        the sparse W P and one sparse band product per worker are alive.
+        With a CSR P the bands and the transpose's row bands run on a
+        thread pool of one worker per usable CPU (_map_bands); every row of
+        a sparse product is computed on its own, so the result holds the
+        same bits for any number of CPUs. A dense P and a CSR result are
+        computed serially, as one product C and C + C^T.
         """
         if subset is None:
             if self._full_pattern is None:
@@ -195,17 +196,15 @@ class ConstraintSet:
             W.data, W.indices, W.indptr = data, indices, indptr
         WP = W @ self.P
         d = self.dim
-        dense = d * d <= self.DENSE_CELL_LIMIT
-        if isinstance(WP, np.ndarray):
+        if d * d > self.DENSE_CELL_LIMIT:
             C = PuT @ WP
-            return _add_transpose(C) if dense else C + C.T
-        if dense:
-            C = np.empty((d, d))
-            _map_bands(lambda rows: (PuT[rows] @ WP).toarray(out=C[rows]), d, DENSE_TILE)
-            return _add_transpose(C)
-        bands = _map_bands(lambda rows: PuT[rows] @ WP, d, -(-d // usable_cpus()))
-        C = bands[0] if len(bands) == 1 else sp.vstack(bands, format="csr")
-        return C + C.T
+            return C + C.T
+        if isinstance(WP, np.ndarray):
+            return _add_transpose(PuT @ WP)
+        workers = usable_cpus()
+        C = np.empty((d, d))
+        _map_bands(lambda rows: (PuT[rows] @ WP).toarray(out=C[rows]), d, DENSE_TILE, workers)
+        return _add_transpose(C, workers)
 
     def _anchor_pattern(self, tri: np.ndarray):
         """W (distinct anchors of `tri` x n_used) as a CSR matrix, the column
@@ -242,7 +241,7 @@ class ConstraintSet:
         return rows[keep], vals[keep]
 
 
-def _add_transpose(C: np.ndarray) -> np.ndarray:
+def _add_transpose(C: np.ndarray, workers: int = 1) -> np.ndarray:
     """C + C^T in place, bit-equal to the full-matrix sum, for a square C.
 
     Upper tile (r, c) gets C[r, c] + C[c, r]^T, and its mirror (c, r) a
@@ -250,8 +249,8 @@ def _add_transpose(C: np.ndarray) -> np.ndarray:
     the same bits. A diagonal tile adds a copy of its own transpose, which
     at d = 64 is faster than numpy's buffering of the overlapping view.
     Row band r reads and writes only tiles (r, c >= r) and their mirrors,
-    so the bands run on _map_bands' pool. No other d x d array is made:
-    each worker's temporaries are tile-sized.
+    so with workers > 1 the bands run on _map_bands' pool. No other d x d
+    array is made: each worker's temporaries are tile-sized.
     """
     d, tile = C.shape[0], DENSE_TILE
 
@@ -263,16 +262,16 @@ def _add_transpose(C: np.ndarray) -> np.ndarray:
             C[rows, cols] += C[cols, rows].T
             C[cols, rows] = C[rows, cols].T
 
-    _map_bands(band, d, tile)
+    _map_bands(band, d, tile, workers)
     return C
 
 
 class MarginCache:
     """Cached per-constraint margins m_t = <A^t, M>, updated in O(T) per step.
 
-    derivs() and grad_inner_with_model's <M, grad f> are computed once per
-    update: assigning `margins` (`*=` too) drops both, so index writes go
-    to a local array that is assigned back.
+    derivs() and grad_inner() are computed once per update: assigning
+    `margins` (`*=` too) drops both, so index writes go to a local array
+    that is assigned back.
     `statistic` is the exact oracle's running full-set pair statistic,
     (constraint set, unscaled H, the derivs it was built from), which the
     solver's gradient_accumulate keeps; None until the first such call.
@@ -302,6 +301,14 @@ class MarginCache:
             self._derivs = smoothed_hinge_deriv(self._margins)
             self._derivs.flags.writeable = False
         return self._derivs
+
+    def grad_inner(self) -> float:
+        """<M, grad f(M)> = (1/T) * sum_t l'(m_t) * m_t (linearity in A^t)."""
+        if self.count == 0:
+            raise ValueError("empty margin cache")
+        if self._grad_inner is None:
+            self._grad_inner = float(np.mean(self.derivs() * self._margins))
+        return self._grad_inner
 
 
 def init_cache(cs: ConstraintSet, m: Model) -> MarginCache:
@@ -335,10 +342,5 @@ def update_cache_sparse(cache: MarginCache, kind: str, gamma: float, rows: np.nd
 
 
 def grad_inner_with_model(cache: MarginCache) -> float:
-    """<M, grad f(M)> = (1/T) * sum_t l'(m_t) * m_t (linearity in A^t),
-    kept on the cache until its margins change."""
-    if cache.count == 0:
-        raise ValueError("empty margin cache")
-    if cache._grad_inner is None:
-        cache._grad_inner = float(np.mean(cache.derivs() * cache.margins))
-    return cache._grad_inner
+    """<M, grad f(M)>, as MarginCache.grad_inner() keeps it."""
+    return cache.grad_inner()

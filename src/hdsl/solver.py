@@ -451,14 +451,13 @@ class SolverState:
 
     @classmethod
     def from_model(cls, cs: ConstraintSet, model: Model) -> "SolverState":
-        """The state of `model`: one pair_inners call per atom, and the
-        margins as A^T alpha. That product adds alpha_k * <A^t, B_k> into
-        each margin in atom order, as init_cache does, so the bits match."""
+        """The state of `model`: A stacked in one CSR construction from one
+        pair_inners call per atom, and the margins from init_cache."""
         rows, vals = zip(*(cs.pair_inners(*b, model.lam) for b in model.bases.tolist()))
         indptr = np.cumsum([0] + [r.size for r in rows])
         A = sp.csr_matrix((np.concatenate(vals), np.concatenate(rows), indptr),
                           shape=(model.n_atoms, len(cs)))
-        return cls(model, A, MarginCache(A.T @ model.alpha))
+        return cls(model, A, init_cache(cs, model))
 
 
 def _append_row(A: sp.csr_matrix, rows: np.ndarray, vals: np.ndarray) -> sp.csr_matrix:

@@ -301,10 +301,11 @@ class TestUsableCpus:
 
 
 class TestBandPool:
-    """pair_statistic's band products and _add_transpose's row bands run
-    on a thread pool when there are several bands and CPUs; the results
-    must hold the bits of the one-worker path, and no thread may outlive
-    the call."""
+    """With sparse points and a dense H, pair_statistic's band products and
+    _add_transpose's row bands run on a thread pool when there are several
+    bands and CPUs; the results must hold the bits of the one-worker path,
+    and no thread may outlive the call. Dense points and a CSR H never
+    enter a pool."""
 
     @pytest.fixture
     def pools(self, monkeypatch):
@@ -363,18 +364,30 @@ class TestBandPool:
 
     def test_sparse_statistic_equal_to_one_worker(self, monkeypatch, pools):
         monkeypatch.setattr(ConstraintSet, "DENSE_CELL_LIMIT", 0)
+        monkeypatch.setattr(objective_mod, "DENSE_TILE", 4)
         rng = np.random.default_rng(410)
         for dim in (3, 4, 5, 17, 60):
             cs = self.instance(rng, dim)
             g = rng.uniform(-1.0, 0.0, size=len(cs))
             for subset in (None, np.arange(1, len(cs), 2)):
                 serial = self.on_cpus(monkeypatch, 1, cs.pair_statistic, g, subset)
-                made = pools[0]
                 pooled = self.on_cpus(monkeypatch, 4, cs.pair_statistic, g, subset)
-                assert pools[0] - made == 1
                 assert sp.issparse(pooled) and pooled.shape == (dim, dim)
                 assert (pooled != serial).nnz == 0
                 assert (pooled != pooled.T).nnz == 0
+        assert pools[0] == 0
+
+    def test_dense_points_never_enter_a_pool(self, monkeypatch, pools):
+        # d = 200 is two default tiles, below DENSE_DIM_LIMIT, so P is dense
+        rng = np.random.default_rng(415)
+        ds = random_dataset(rng, 30, 200, max_nnz=20)
+        cs = random_constraints(rng, ds, 60)
+        assert isinstance(cs.P, np.ndarray)
+        g = rng.uniform(-1.0, 0.0, size=len(cs))
+        serial = self.on_cpus(monkeypatch, 1, cs.pair_statistic, g)
+        pooled = self.on_cpus(monkeypatch, 4, cs.pair_statistic, g)
+        assert pools[0] == 0
+        np.testing.assert_array_equal(pooled.view(np.int64), serial.view(np.int64))
 
     @pytest.mark.parametrize("tile", [1, 3, 7])
     def test_add_transpose_bands_bit_equal_to_full_sum(self, tile, monkeypatch, pools):
@@ -386,14 +399,12 @@ class TestBandPool:
                 C[rng.random((d, d)) < 0.2] = -0.0
                 expected = C + C.T
                 made = pools[0]
-                got = self.on_cpus(monkeypatch, cpus, _add_transpose, C)
+                got = self.on_cpus(monkeypatch, cpus, _add_transpose, C, cpus)
                 assert pools[0] - made == (cpus > 1)
                 assert got is C
                 np.testing.assert_array_equal(got.view(np.int64), expected.view(np.int64))
 
-    def test_band_error_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(objective_mod, "usable_cpus", lambda: 4)
-
+    def test_band_error_reaches_the_caller(self):
         def band(rows):
             if rows.start == 6:
                 raise FloatingPointError("band 6")
@@ -401,9 +412,9 @@ class TestBandPool:
 
         threads = threading.active_count()
         with pytest.raises(FloatingPointError, match="band 6"):
-            objective_mod._map_bands(band, 10, 3)
+            objective_mod._map_bands(band, 10, 3, 4)
         assert threading.active_count() == threads
-        assert objective_mod._map_bands(lambda rows: rows.start, 10, 3) == [0, 3, 6, 9]
+        assert objective_mod._map_bands(lambda rows: rows.start, 10, 3, 4) == [0, 3, 6, 9]
 
 
 class TestUpdateCache:
@@ -441,19 +452,27 @@ class TestUpdateCache:
 
 
 class TestGradInnerWithModel:
-    def test_kept_until_the_margins_change(self):
+    def test_kept_until_the_margins_change(self, monkeypatch):
         rng = np.random.default_rng(7)
         cache = MarginCache(rng.uniform(-0.5, 1.5, size=50))
+        means = []
+        real = np.mean
+
+        def counting(*args, **kwargs):
+            means.append(1)
+            return real(*args, **kwargs)
+
         first = grad_inner_with_model(cache)
         assert first == float(np.mean(smoothed_hinge_deriv(cache.margins) * cache.margins))
-        assert cache._grad_inner == first
         rows = np.sort(rng.choice(50, size=9, replace=False))
         for kind in ("F", "A"):
             update_cache_sparse(cache, kind, 0.3, rows, rng.uniform(-1.0, 1.0, size=9))
-            assert cache._grad_inner is None
             fresh = float(np.mean(smoothed_hinge_deriv(cache.margins) * cache.margins))
-            assert grad_inner_with_model(cache) == fresh
-            assert grad_inner_with_model(cache) == fresh
+            with monkeypatch.context() as mp:
+                mp.setattr(objective_mod.np, "mean", counting)
+                assert grad_inner_with_model(cache) == fresh
+                assert cache.grad_inner() == fresh
+            assert len(means) == (1 if kind == "F" else 2)
         assert fresh != first
 
     def test_all_satisfied_is_zero(self):

@@ -1043,7 +1043,7 @@ class TestApplyStep:
         assert list(state.model.atoms) == list(m.atoms)
         np.testing.assert_array_equal(state.cache.margins, init_cache(cs, m).margins)
 
-    def test_from_model_one_pair_inners_per_atom(self, monkeypatch):
+    def test_from_model_stacks_one_row_per_atom(self, monkeypatch):
         rng = np.random.default_rng(69)
         cs = random_instance(rng, 12, T=60)
         m = random_model(rng, 12, 15, lam=1.3)
@@ -1056,7 +1056,8 @@ class TestApplyStep:
 
         monkeypatch.setattr(ConstraintSet, "pair_inners", counting)
         state = SolverState.from_model(cs, m)
-        assert calls == [tuple(b) for b in m.bases.tolist()]
+        # one call per atom for A, then init_cache's pass for the margins
+        assert calls == 2 * [tuple(b) for b in m.bases.tolist()]
         monkeypatch.undo()
         want = init_cache(cs, m).margins
         np.testing.assert_array_equal(state.cache.margins.view(np.int64), want.view(np.int64))
