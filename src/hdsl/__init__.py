@@ -34,7 +34,6 @@ from .model import (
 from .objective import (
     ConstraintSet,
     MarginCache,
-    grad_inner_with_model,
     init_cache,
     objective,
     smoothed_hinge,

@@ -59,8 +59,8 @@ def knn_error(model: Model, train: Dataset, test: Dataset, k: int = 3) -> float:
     for start in range(0, len(test), chunk):
         stop = min(start + chunk, len(test))
         sims = p_test[start:stop] @ p_train_t
-        tiebreak = np.broadcast_to(np.arange(n_train), sims.shape)
-        top = np.lexsort((tiebreak, -sims), axis=-1)[:, :k]
+        # a stable sort keeps tied similarities in train order
+        top = np.argsort(-sims, axis=-1, kind="stable")[:, :k]
         # vote counts per (row, class); argmax's first hit is the smallest label
         row_base = np.arange(stop - start)[:, None] * n_classes
         votes = np.bincount(

@@ -339,8 +339,3 @@ def update_cache_sparse(cache: MarginCache, kind: str, gamma: float, rows: np.nd
     m *= 1.0 - step
     m[rows] += step * vals
     cache.margins = m
-
-
-def grad_inner_with_model(cache: MarginCache) -> float:
-    """<M, grad f(M)>, as MarginCache.grad_inner() keeps it."""
-    return cache.grad_inner()

@@ -25,7 +25,6 @@ from .objective import (
     DENSE_TILE,
     ConstraintSet,
     MarginCache,
-    grad_inner_with_model,
     init_cache,
     objective,
     update_cache_sparse,
@@ -111,9 +110,10 @@ class GradientAccumulators:
     With a dense H, a gradient_accumulate call allocates two d x d
     arrays, one after the other: pair_statistic's result (the fresh H, or
     the delta that is added into the running H and dropped) and the scaled
-    copy H here. With the running H on the cache, two d x d arrays are
-    alive at once, or three while the caller still holds the previous
-    call's accumulators; train drops those before each oracle call.
+    copy H here. An exact solve so holds the running H on the cache and,
+    only inside one oracle call, one more d x d array (the delta or the
+    scaled copy): train's accumulators are made and dropped within
+    _directions.
     """
 
     def __init__(self, H, count: int, rows: Optional[int] = None):
@@ -256,6 +256,13 @@ def forward_exact(
     return direction
 
 
+def _draw_batch(cs: ConstraintSet, size: int, rng: np.random.Generator) -> np.ndarray:
+    """A sorted uniform sample of `size` constraints, without replacement."""
+    if size <= 0 or size > len(cs):
+        raise ValueError("batch size must be in [1, T]")
+    return np.sort(rng.choice(len(cs), size=size, replace=False))
+
+
 def forward_minibatch(
     cs: ConstraintSet,
     cache: MarginCache,
@@ -268,10 +275,7 @@ def forward_minibatch(
     The returned basis inner products are computed on the full constraint
     set so cache updates and line search stay exact.
     """
-    if size <= 0 or size > len(cs):
-        raise ValueError("batch size must be in [1, T]")
-    subset = np.sort(rng.choice(len(cs), size=size, replace=False))
-    acc = gradient_accumulate(cs, cache, subset)
+    acc = gradient_accumulate(cs, cache, _draw_batch(cs, size, rng))
     return forward_exact(acc, lam, cs.dim, cs=cs)
 
 
@@ -327,19 +331,12 @@ def forward_heuristic(
     """
     if dim < 2:
         raise ValueError("need at least two features")
-    if size <= 0 or size > len(cs):
-        raise ValueError("batch size must be in [1, T]")
+    subset = _draw_batch(cs, size, rng)
     g = cache.derivs()
-    subset = np.sort(rng.choice(len(cs), size=size, replace=False))
     count = subset.size
     active = subset[g[subset] != 0.0]
     tri, g_active = cs.local[active], g[active]
-
-    diag = np.zeros(cs.dim)
-    if active.size:
-        xd = cs.XD[active]
-        w = np.repeat(g_active, np.diff(xd.indptr))
-        diag = np.bincount(xd.indices, weights=xd.data * w, minlength=cs.dim) / count
+    diag = cs.XD[active].T @ g_active / count
 
     i0 = int(rng.integers(dim))
     scores1, _ = _partner_scores(cs, tri, g_active, count, lam, i0, diag)
@@ -381,7 +378,7 @@ def choose_direction(fwd: Direction, away: Direction, cache: MarginCache) -> Dir
     """Forward if <D_F, grad> <= <D_A, grad> (ties included), else away."""
     if away.gamma_max <= 0.0:
         return fwd
-    gm = grad_inner_with_model(cache)
+    gm = cache.grad_inner()
     if fwd.score - gm <= gm - away.score:
         return fwd
     return away
@@ -510,7 +507,7 @@ def apply_step(state: SolverState, d: Direction, gamma: float) -> None:
 
 def fw_gap(state: SolverState, fwd: Direction) -> float:
     """Duality gap <M - B_F, grad f>; nonnegative up to rounding, zero at the optimum."""
-    return grad_inner_with_model(state.cache) - fwd.score
+    return state.cache.grad_inner() - fwd.score
 
 
 def _gap_rounding(cache: MarginCache, fwd: Direction) -> float:
@@ -533,20 +530,26 @@ def _gap_rounding_cap(cs: ConstraintSet, lam: float) -> float:
     return 4.0 * float(np.finfo(np.float64).eps) * m_max * len(cs)
 
 
-def _forward_direction(
-    cs: ConstraintSet, cache: MarginCache, cfg: SolverConfig, rng: np.random.Generator
-) -> Tuple[Direction, Optional[GradientAccumulators]]:
-    acc = None
+def _directions(
+    cs: ConstraintSet, state: SolverState, cfg: SolverConfig, rng: np.random.Generator
+) -> Tuple[Direction, Direction, Optional[int]]:
+    """One iteration's forward and away directions, and the exact oracle's
+    stat_rows (None for the sampled oracles).
+
+    The exact oracle's full-set accumulators score both directions and die
+    with this call; sampled accumulators never score atoms.
+    """
+    cache, acc, stat_rows = state.cache, None, None
     if cfg.oracle == "exact":
         acc = gradient_accumulate(cs, cache)
-        d = forward_exact(acc, cfg.lam, cs.dim, cs=cs)
+        fwd, stat_rows = forward_exact(acc, cfg.lam, cs.dim, cs=cs), acc.rows
     elif cfg.oracle == "minibatch":
-        d = forward_minibatch(cs, cache, cfg.lam, min(cfg.batch_size, len(cs)), rng)
+        fwd = forward_minibatch(cs, cache, cfg.lam, min(cfg.batch_size, len(cs)), rng)
     else:
-        d = forward_heuristic(cs, cache, min(cfg.batch_size, len(cs)), rng, cfg.lam, cs.dim)
+        fwd = forward_heuristic(cs, cache, min(cfg.batch_size, len(cs)), rng, cfg.lam, cs.dim)
     # <B, grad f> over the full constraint set, from B's sparse inner products
-    d.score = float(cache.derivs()[d.inner_rows] @ d.inner_vals) / cache.count
-    return d, acc
+    fwd.score = float(cache.derivs()[fwd.inner_rows] @ fwd.inner_vals) / cache.count
+    return fwd, away_direction(state, acc), stat_rows
 
 
 def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
@@ -569,8 +572,7 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
     rounding_cap = _gap_rounding_cap(cs, cfg.lam)
 
     state = SolverState.from_model(cs, Model(cfg.lam, cs.dim, {BasisId(0, 1, POS): 1.0}))
-    d0, _ = _forward_direction(cs, state.cache, cfg, rng)
-    apply_step(state, d0, 1.0)
+    apply_step(state, _directions(cs, state, cfg, rng)[0], 1.0)
 
     history: List[dict] = []
     best_val = -np.inf
@@ -578,9 +580,7 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
     stale_evals = 0
 
     for k in range(cfg.max_iters):
-        # the last iteration's scaled H goes before the statistic is rebuilt
-        # or updated, so that no third d x d array is alive meanwhile
-        acc = drift = stat_drift = None
+        drift = stat_drift = None
         if k > 0 and k % RECOMPUTE_EVERY == 0:
             fresh = init_cache(cs, state.model).margins
             drift = float(np.max(np.abs(state.cache.margins - fresh)))
@@ -589,14 +589,14 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
             state.cache.margins = fresh
             stat_drift = _statistic_drift(cs, state.cache, k)
 
-        fwd, acc = _forward_direction(cs, state.cache, cfg, rng)
+        fwd, away, stat_rows = _directions(cs, state, cfg, rng)
         gap = fw_gap(state, fwd)
         record = {"k": k, "objective": objective(state.cache), "gap": gap,
                   "atoms": state.model.n_atoms, "features": len(state.model.feature_set())}
         if drift is not None:
             record["drift"] = drift
-        if acc is not None:
-            record["stat_rows"] = acc.rows
+        if stat_rows is not None:
+            record["stat_rows"] = stat_rows
         if stat_drift is not None:
             record["stat_drift"] = stat_drift
         # the gap certifies optimality only when the forward basis is the
@@ -622,7 +622,6 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
             history.append(record)
             break
 
-        away = away_direction(state, acc)
         chosen = choose_direction(fwd, away, state.cache)
         gamma = line_search(state.cache, chosen)
         apply_step(state, chosen, gamma)

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from hdsl.evaluation import (
@@ -213,6 +215,24 @@ class TestKnnError:
             ds = self.random_labeled(rng)
             m = mixed_sign_model(rng, 8, 5, lam=2.0)
             assert knn_error(m, ds, ds, k=3) == pytest.approx(self.brute_force_error(m, ds))
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_stable_sort_ranks_as_lexsort_by_train_index(self, data):
+        # knn_error ranks a block by one stable argsort of -sims; the
+        # reference orders by (-sim, train index). Tie-heavy blocks draw
+        # from a few values with both zeros, infinities and NaN.
+        rows = data.draw(st.integers(1, 6), label="rows")
+        cols = data.draw(st.integers(1, 40), label="cols")
+        if data.draw(st.booleans(), label="ties"):
+            values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan])
+        else:
+            values = st.floats(-1e3, 1e3)
+        sims = np.array(data.draw(st.lists(values, min_size=rows * cols, max_size=rows * cols),
+                                  label="sims")).reshape(rows, cols)
+        expected = np.lexsort((np.broadcast_to(np.arange(cols), sims.shape), -sims), axis=-1)
+        np.testing.assert_array_equal(np.argsort(-sims, axis=-1, kind="stable"), expected)
 
 
 class TestFeatureRecoveryAuc:

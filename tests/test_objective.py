@@ -11,7 +11,6 @@ from hdsl.model import NEG, POS, BasisId, Model
 from hdsl.objective import (
     ConstraintSet,
     MarginCache,
-    grad_inner_with_model,
     init_cache,
     objective,
     smoothed_hinge,
@@ -462,7 +461,7 @@ class TestGradInnerWithModel:
             means.append(1)
             return real(*args, **kwargs)
 
-        first = grad_inner_with_model(cache)
+        first = cache.grad_inner()
         assert first == float(np.mean(smoothed_hinge_deriv(cache.margins) * cache.margins))
         rows = np.sort(rng.choice(50, size=9, replace=False))
         for kind in ("F", "A"):
@@ -470,16 +469,16 @@ class TestGradInnerWithModel:
             fresh = float(np.mean(smoothed_hinge_deriv(cache.margins) * cache.margins))
             with monkeypatch.context() as mp:
                 mp.setattr(objective_mod.np, "mean", counting)
-                assert grad_inner_with_model(cache) == fresh
+                assert cache.grad_inner() == fresh
                 assert cache.grad_inner() == fresh
             assert len(means) == (1 if kind == "F" else 2)
         assert fresh != first
 
     def test_all_satisfied_is_zero(self):
-        assert grad_inner_with_model(MarginCache(np.array([1.0, 3.0]))) == 0.0
+        assert MarginCache(np.array([1.0, 3.0])).grad_inner() == 0.0
 
     def test_single_term(self):
-        assert grad_inner_with_model(MarginCache(np.array([0.5]))) == pytest.approx(-0.25)
+        assert MarginCache(np.array([0.5])).grad_inner() == pytest.approx(-0.25)
 
     def test_matches_dense_gradient_oracle(self):
         rng = np.random.default_rng(6)
@@ -509,7 +508,7 @@ class TestGradInnerWithModel:
                 mt = float(np.sum(A * M))
                 grad += smoothed_hinge_deriv(mt) * A
             grad /= len(cs)
-            assert grad_inner_with_model(cache) == pytest.approx(float(np.sum(grad * M)), abs=1e-10)
+            assert cache.grad_inner() == pytest.approx(float(np.sum(grad * M)), abs=1e-10)
 
 
 class TestConvexityAlongSegments:

@@ -1,6 +1,7 @@
 import importlib
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -328,6 +329,24 @@ class TestRunningStatistic:
         assert 0.0 <= drift <= 1e-12
         np.testing.assert_array_equal(cache.statistic[1], cs.pair_statistic(cache.derivs()))
         assert solver_mod._statistic_drift(cs, MarginCache(cache.margins), 5) is None
+
+    def test_no_accumulators_outlive_their_iteration(self, monkeypatch):
+        # an exact solve with a dense H: when the oracle runs, every earlier
+        # call's accumulators, and with them their scaled d x d copy, are gone
+        exact_accumulate = solver_mod.gradient_accumulate
+        refs = []
+
+        def tracking(cs, cache, subset=None):
+            assert all(ref() is None for ref in refs)
+            acc = exact_accumulate(cs, cache, subset)
+            assert isinstance(acc.H, np.ndarray)
+            refs.append(weakref.ref(acc))
+            return acc
+
+        monkeypatch.setattr(solver_mod, "gradient_accumulate", tracking)
+        cs = random_instance(np.random.default_rng(87), 15, T=40)
+        _, history = train(cs, SolverConfig(lam=2.0, max_iters=20, gap_tol=0.0))
+        assert len(refs) == len(history) + 1 > 2  # the start, then each iteration
 
     def test_history_reports_rows_and_drift(self, monkeypatch):
         monkeypatch.setattr(solver_mod, "RECOMPUTE_EVERY", 10)
@@ -709,6 +728,30 @@ class TestForwardHeuristic:
                 np.testing.assert_array_equal(np.where(h > 0, NEG, POS), signs)
                 zero_picks += h[int(np.argmin(scores))] == 0.0
         assert zero_picks > 0
+
+    def test_diag_bit_equal_to_entrywise_bincount(self, monkeypatch):
+        # the diagonal is one product XD[active]^T g / count; its sums add
+        # the entries in the order batch_diag's bincount did, so both
+        # stages score with the same bits, an all-satisfied batch included
+        real = solver_mod._partner_scores
+        diags = []
+
+        def recording(cs, tri, g, count, lam, i, diag):
+            diags.append(diag)
+            return real(cs, tri, g, count, lam, i, diag)
+
+        monkeypatch.setattr(solver_mod, "_partner_scores", recording)
+        rng = np.random.default_rng(39)
+        for seed in range(30):
+            cs = random_instance(rng, 30, T=200)
+            low = 1.0 if seed % 5 == 0 else -0.5
+            cache = MarginCache(rng.uniform(low, 1.5, size=len(cs)))
+            size = int(rng.integers(1, len(cs) + 1))
+            forward_heuristic(cs, cache, size, np.random.default_rng(seed), 1.5, cs.dim)
+            batch = np.sort(np.random.default_rng(seed).choice(len(cs), size=size, replace=False))
+            g = cache.derivs()
+            want = batch_diag(cs, g, batch[g[batch] != 0.0], size)
+            assert [d.tobytes() for d in diags[-2:]] == [want.tobytes()] * 2
 
     @pytest.mark.parametrize("sparse", [False, True])
     def test_pick_matches_reference(self, sparse, monkeypatch):
