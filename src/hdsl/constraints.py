@@ -169,26 +169,24 @@ def random_label_triplets(
     if per_instance < 1:
         raise ValueError("per_instance must be >= 1")
     rng = rng or np.random.default_rng()
-    n = len(ds)
     labels = ds.labels
-    by_label: Dict[int, np.ndarray] = {
-        int(l): np.flatnonzero(labels == l) for l in np.unique(labels)
-    }
-    triplets = [np.zeros((0, 3), dtype=np.int64)]
-    skipped = 0
-    for a in range(n):
-        same = by_label[int(labels[a])]
-        same = same[same != a]
-        other = np.flatnonzero(labels != labels[a])
-        if same.size == 0 or other.size == 0:
-            skipped += 1
-            continue
-        bs = rng.choice(same, size=per_instance, replace=True)
-        cs_ = rng.choice(other, size=per_instance, replace=True)
-        triplets.append(np.column_stack((np.full(per_instance, a), bs, cs_)))
-    if skipped:
+    by_label = {int(l): np.flatnonzero(labels == l) for l in np.unique(labels)}
+    other = {l: np.flatnonzero(labels != l) for l in by_label}
+    anchors = np.flatnonzero([by_label[l].size > 1 for l in labels.tolist()])
+    if anchors.size < labels.size:
+        skipped = labels.size - anchors.size
         logger.warning("random_label_triplets: skipped %d singleton-class instances", skipped)
-    return ConstraintSet(ds, np.concatenate(triplets))
+    triplets = np.empty((anchors.size, per_instance, 3), dtype=np.int64)
+    triplets[:, :, 0] = anchors[:, None]
+    for rows, a, l in zip(triplets, anchors.tolist(), labels[anchors].tolist()):
+        same, pool = by_label[l], other[l]
+        # b uniform over the class without a: a position past a's steps over
+        # it; both draws make the generator calls rng.choice would
+        pos = rng.integers(0, same.size - 1, size=per_instance)
+        pos += pos >= np.searchsorted(same, a)
+        rows[:, 1] = same[pos]
+        rows[:, 2] = pool[rng.integers(0, pool.size, size=per_instance)]
+    return ConstraintSet(ds, triplets.reshape(-1, 3))
 
 
 def truth_triplets(

@@ -10,6 +10,7 @@ for a fixed input order.
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Optional
 
@@ -75,15 +76,17 @@ class ConstraintSet:
     some triplet references; those points are the rows of `P`, with `PT` =
     P^T. pair_statistic (exact and mini-batch oracles), pair_inners and the
     heuristic oracle's partner scores work from them. The one per-triplet
-    matrix is `XD` (T x d CSR), the rows x_a * (x_b - x_c): its column sums
-    over the heuristic's active batch are that oracle's diagonal. The
-    constructor rejects non-finite values in the referenced points.
+    matrix is `XD` (T x d CSR), the rows x_a * (x_b - x_c) of _triplet_rows:
+    its column sums over the heuristic's active batch are that oracle's
+    diagonal. The constructor rejects non-finite referenced point values.
 
     Form rules: P is dense when d <= DENSE_DIM_LIMIT and n_used*d <=
     DENSE_CELL_LIMIT, and CSR otherwise; the pair statistic H is a dense
     d x d array when d*d <= DENSE_CELL_LIMIT, and CSR otherwise. The set
     holds no solver state: the exact oracle's running statistic lives on
-    the MarginCache of the solve.
+    the MarginCache of the solve. A set may be shared across threads:
+    pair_statistic builds, fills and multiplies W under a per-set lock,
+    which is left out of the pickled state.
     """
 
     DENSE_DIM_LIMIT = 512
@@ -104,38 +107,38 @@ class ConstraintSet:
         used, local = np.unique(arr.ravel(), return_inverse=True)
         # column-major, since pair_inners gathers over whole a, b, c columns
         self.local: np.ndarray = np.asfortranarray(local.reshape(-1, 3))
-        P = dataset.to_csr()[used]
-        if not np.isfinite(P.data).all():
+        self.P = dataset.to_csr()[used]
+        if not np.isfinite(self.P.data).all():
             raise ValueError("point values must be finite")
-        a, b, c = self.local.T
-        self.XD: sp.csr_matrix = P[a].multiply(P[b] - P[c]).tocsr()
+        X, D = self._triplet_rows()
+        self.XD: sp.csr_matrix = X.multiply(D)
         self.XD.eliminate_zeros()
         # P is dense when d and n_used*d are small, where a BLAS product beats
-        # sparse bookkeeping by a wide margin, and CSR otherwise; P^T is kept
-        # as CSR too, so a feature column is one row slice of it.
+        # sparse bookkeeping by a wide margin, and CSR otherwise
         if self.dim <= self.DENSE_DIM_LIMIT and used.size * self.dim <= self.DENSE_CELL_LIMIT:
-            P = P.toarray()
-            PT = P.T
-        else:
-            PT = P.T.tocsr()
-        self.P, self.PT = P, PT
+            self.P = self.P.toarray()
+        self.PT = _transpose(self.P)
         self._full_pattern = None
+        self._lock = threading.Lock()
 
-    # The triplet view, anchor rows x_a and difference rows x_b - x_c (T x d
-    # CSR each), is not stored: X and D rebuild it on each access. They serve
-    # only perfbench/tracer.py's pair-product counter, and go once that
-    # counter counts the pair statistic's own work.
-    @property
-    def X(self) -> sp.csr_matrix:
-        arr = self.triplets
-        return self.dataset.to_csr()[arr[:, 0]].copy() if arr.size else sp.csr_matrix((0, self.dim))
+    def __getstate__(self):
+        return {k: v for k, v in vars(self).items() if k != "_lock"}
 
-    @property
-    def D(self) -> sp.csr_matrix:
-        arr, base = self.triplets, self.dataset.to_csr()
-        D = (base[arr[:, 1]] - base[arr[:, 2]]).tocsr() if arr.size else sp.csr_matrix((0, self.dim))
+    def __setstate__(self, state):
+        self.__dict__.update(state, _lock=threading.Lock())
+
+    def _triplet_rows(self):
+        """Anchor rows x_a and difference rows x_b - x_c (T x d CSR each, no
+        stored zeros), from the referenced points as CSR rows."""
+        P = sp.csr_matrix(self.P)
+        a, b, c = self.local.T
+        D = P[b] - P[c]
         D.eliminate_zeros()
-        return D
+        return P[a], D
+
+    # built on each access, only for perfbench/tracer.py's pair-product counter
+    X = property(lambda self: self._triplet_rows()[0])
+    D = property(lambda self: self._triplet_rows()[1])
 
     def _feature_column(self, f: int) -> np.ndarray:
         """Feature f of every referenced point, as a dense n_used vector; a
@@ -157,10 +160,10 @@ class ConstraintSet:
         P) for the product with P_u^T. Without point reuse that is the work
         of the T outer products; with reuse, half that of P^T (W + W^T) P.
         The full set builds W's pattern and P_u^T on its first call and
-        refills W after that, dropping its zero entries when they are at
-        least half, so a g that is zero on most rows (a change of the loss
-        derivatives) costs what its nonzero rows touch; a subset builds
-        them over its active (g_t != 0) triplets, so its cost follows those.
+        refills W after that; W keeps only its nonzero entries, so a g that
+        is zero on most rows (a change of the loss derivatives) costs what
+        its nonzero rows touch; a subset builds them over its active
+        (g_t != 0) triplets, so its cost follows those.
 
         The result is a dense d x d array when d*d <= DENSE_CELL_LIMIT, and
         CSR otherwise. It is exactly symmetric. The dense result is the one
@@ -176,25 +179,22 @@ class ConstraintSet:
         same bits for any number of CPUs. A dense P and a CSR result are
         computed serially, as one product C and C + C^T.
         """
-        if subset is None:
-            if self._full_pattern is None:
-                self._full_pattern = self._anchor_pattern(self.local)
-            W, indices, indptr, slot, PuT = self._full_pattern
-        else:
-            active = subset[g[subset] != 0.0]
-            g = g[active]
-            W, indices, indptr, slot, PuT = self._anchor_pattern(self.local[active])
-        data = np.bincount(slot, weights=np.concatenate((g, -g)), minlength=indices.size)
-        # once at least half of W's entries are zero, W keeps its nonzero
-        # entries only; the arrays are assigned directly, since a new matrix
-        # would cost more in format checks than W P does
-        if 2 * np.count_nonzero(data) <= data.size:
+        with self._lock:
+            if subset is None:
+                if self._full_pattern is None:
+                    self._full_pattern = self._anchor_pattern(self.local)
+                W, indices, indptr, slot, PuT = self._full_pattern
+            else:
+                active = subset[g[subset] != 0.0]
+                g = g[active]
+                W, indices, indptr, slot, PuT = self._anchor_pattern(self.local[active])
+            data = np.bincount(slot, weights=np.concatenate((g, -g)), minlength=indices.size)
+            # W keeps its nonzero entries, assigned directly: a new matrix
+            # would cost more in format checks than W P does
             keep = np.flatnonzero(data)
             W.data, W.indices = data[keep], indices[keep]
             W.indptr = np.searchsorted(keep, indptr).astype(indptr.dtype)
-        else:
-            W.data, W.indices, W.indptr = data, indices, indptr
-        WP = W @ self.P
+            WP = W @ self.P
         d = self.dim
         if d * d > self.DENSE_CELL_LIMIT:
             C = PuT @ WP
@@ -216,9 +216,7 @@ class ConstraintSet:
                                return_inverse=True)
         indptr = np.concatenate(([0], np.cumsum(np.bincount(keys // n, minlength=u.size))))
         W = sp.csr_matrix((np.zeros(keys.size), keys % n, indptr), shape=(u.size, n))
-        Pu = self.P[u]
-        PuT = Pu.T if isinstance(Pu, np.ndarray) else Pu.T.tocsr()
-        return W, W.indices, W.indptr, slot, PuT
+        return W, W.indices, W.indptr, slot, _transpose(self.P[u])
 
     def __len__(self) -> int:
         return self.triplets.shape[0]
@@ -239,6 +237,11 @@ class ConstraintSet:
         vals = lam * (xi * di + xj * dj + sign * (xi * dj + xj * di))
         keep = vals != 0.0
         return rows[keep], vals[keep]
+
+
+def _transpose(P):
+    """P^T: a view of a dense P, CSR of a sparse one (a column is a row slice)."""
+    return P.T if isinstance(P, np.ndarray) else P.T.tocsr()
 
 
 def _add_transpose(C: np.ndarray, workers: int = 1) -> np.ndarray:

@@ -638,13 +638,11 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
 
 def lipschitz_constant(cs: ConstraintSet) -> float:
     """Gradient Lipschitz constant L = (1/T) * sum_t ||A^t||_F^2 = (1/T) *
-    sum_t ||x_t||^2 * ||d_t||^2, from the referenced points as CSR rows."""
+    sum_t ||x_t||^2 * ||d_t||^2, as row sums over the triplet rows."""
     if len(cs) == 0:
         raise ValueError("empty constraint set")
-    P = sp.csr_matrix(cs.P)
-    a, b, c = cs.local.T
-    D = P[b] - P[c]
-    xn = np.asarray(P.multiply(P).sum(axis=1)).ravel()[a]
+    X, D = cs._triplet_rows()
+    xn = np.asarray(X.multiply(X).sum(axis=1)).ravel()
     dn = np.asarray(D.multiply(D).sum(axis=1)).ravel()
     return float(np.mean(xn * dn))
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import io
 import math
-from typing import Optional, Sequence, Union
+from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -143,6 +143,17 @@ class Dataset:
         return self._X
 
 
+def _content_lines(source: Union[str, io.TextIOBase]) -> Iterator[Tuple[int, List[str]]]:
+    """(line number from 1, whitespace-split tokens) for each line of a str
+    or text stream that keeps a token once its '#' comment is cut."""
+    if isinstance(source, str):
+        source = io.StringIO(source)
+    for lineno, raw in enumerate(source, start=1):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
+            yield lineno, parts
+
+
 def parse_libsvm(source: Union[str, io.TextIOBase], dim: Optional[int] = None) -> Dataset:
     """Parse LIBSVM text ("<label> <idx>:<val> ...", 1-based indices).
 
@@ -151,15 +162,9 @@ def parse_libsvm(source: Union[str, io.TextIOBase], dim: Optional[int] = None) -
     unless `dim` is given explicitly (useful when a split is missing the
     highest features).
     """
-    if isinstance(source, str):
-        source = io.StringIO(source)
     labels, indices, values, indptr = [], [], [], [0]
     max_index = -1
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _content_lines(source):
         try:
             label_f = float(parts[0])
         except ValueError:
@@ -250,14 +255,8 @@ def read_triplets(source: Union[str, io.TextIOBase]) -> np.ndarray:
     """Inverse of write_triplets: a (T, 3) int64 array. Blank lines and '#'
     comments are allowed; index ranges and b != c are checked by
     ConstraintSet against its dataset."""
-    if isinstance(source, str):
-        source = io.StringIO(source)
     rows = []
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts in _content_lines(source):
         if len(parts) != 3:
             raise ParseError("expected three indices", lineno)
         try:

@@ -25,6 +25,7 @@ from util import (
     random_sparse_dataset,
     reference_gen_links,
     reference_neighbors_triplets,
+    reference_random_label_triplets,
     reference_truth_triplets,
 )
 
@@ -137,6 +138,25 @@ class TestRandomLabelTriplets:
         np.testing.assert_array_equal(got, np.array(want, dtype=np.int64))
         assert got.dtype == np.int64 and 3 not in got[:, 0]
         assert rng_got.bit_generator.state == rng_want.bit_generator.state
+
+    @pytest.mark.parametrize("n_labels, singletons", [(2, 0), (4, 3), (50, 5)])
+    def test_matches_former_loop(self, n_labels, singletons):
+        """Equal triplets and generator state to the former per-anchor scan
+        of the labels, with singleton classes skipped."""
+        rng = np.random.default_rng(10 + n_labels)
+        n = 400
+        labels = rng.integers(0, n_labels, size=n)
+        labels[rng.choice(n, size=singletons, replace=False)] = n_labels + np.arange(singletons)
+        ds = Dataset.from_csr(sp.csr_matrix((n, 3)), labels)
+        anchors = np.count_nonzero(np.bincount(labels)[labels] > 1)
+        assert anchors <= n - singletons
+        for per_instance in (1, 7):
+            rng_got, rng_want = np.random.default_rng(per_instance), np.random.default_rng(per_instance)
+            got = random_label_triplets(ds, per_instance=per_instance, rng=rng_got).triplets
+            want = reference_random_label_triplets(ds.labels, per_instance, rng_want)
+            assert got.dtype == np.int64 and got.shape == (anchors * per_instance, 3)
+            np.testing.assert_array_equal(got, want)
+            assert rng_got.bit_generator.state == rng_want.bit_generator.state
 
     @pytest.mark.parametrize("per_instance", [0, -2])
     def test_per_instance_below_one_rejected(self, per_instance):

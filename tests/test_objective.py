@@ -1,5 +1,6 @@
 import importlib
 import os
+import pickle
 import sys
 import threading
 
@@ -21,7 +22,7 @@ from hdsl.objective import (
 )
 from hdsl.sparse_data import Dataset, SparseVector
 
-from util import basis_inner, reference_triplet_view
+from util import basis_inner, reference_pair_statistic, reference_triplet_view
 
 # the module, not the `objective` function the package exports by that name
 objective_mod = importlib.import_module("hdsl.objective")
@@ -264,6 +265,125 @@ class TestOneView:
             ConstraintSet(Dataset(pts), trips[:1])
         pts[role] = sv([(0, 0.5), (1, 2.0)], 3)
         ConstraintSet(Dataset(pts), trips)
+
+
+class TestSingleWRule:
+    """pair_statistic keeps only W's nonzero entries on every call; its
+    result holds the bits of a W that keeps its explicit zeros."""
+
+    @staticmethod
+    def assert_same_bits(got, want):
+        assert sp.issparse(got) == sp.issparse(want)
+        if sp.issparse(got):
+            got, want = got.tocsr(), want.tocsr()
+            got.sort_indices()
+            want.sort_indices()
+            assert (got.indptr.tolist(), got.indices.tolist()) == (want.indptr.tolist(), want.indices.tolist())
+            got, want = got.data, want.data
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+    # no limit: P and H dense; DENSE_DIM_LIMIT: CSR P, dense H;
+    # DENSE_CELL_LIMIT: CSR P and H
+    @pytest.mark.parametrize("limit", [None, "DENSE_DIM_LIMIT", "DENSE_CELL_LIMIT"])
+    def test_bit_equal_to_w_with_explicit_zeros(self, limit, monkeypatch):
+        if limit is not None:
+            monkeypatch.setattr(ConstraintSet, limit, 0)
+        rng = np.random.default_rng(430)
+        dropped_few = 0
+        for dim in (6, 25):
+            # few points and many triplets, with g in {-1, 1}: W's entries
+            # often cancel to exact zeros
+            cs = random_constraints(rng, integer_dataset(rng, 12, dim), 150)
+            assert isinstance(cs.P, np.ndarray) == (limit is None)
+            for _ in range(3):  # later calls refill the cached full-set W
+                # a derivative change zero on most rows, then on few rows
+                for zero_share in (0.9, 0.1):
+                    g = rng.choice([-1.0, 1.0], size=len(cs))
+                    g[rng.random(len(cs)) < zero_share] = 0.0
+                    for subset in (None, np.arange(0, len(cs), 2)):
+                        got = cs.pair_statistic(g, subset)
+                        self.assert_same_bits(got, reference_pair_statistic(cs, g, subset))
+                    W, indices = cs._full_pattern[:2]
+                    assert W.nnz == np.count_nonzero(W.data)
+                    if zero_share == 0.1:
+                        dropped_few += indices.size - W.nnz
+                        # fewer than half zero: the entries the former rule kept
+                        assert 2 * (indices.size - W.nnz) < indices.size
+        assert dropped_few > 0
+
+
+class TestSharedSet:
+    """One set shared across threads: each pair_statistic call gets the
+    statistic of its own g, and the set pickles without its lock."""
+
+    @pytest.mark.parametrize("limit", [None, "DENSE_DIM_LIMIT"])
+    def test_call_inside_another_calls_w_product(self, limit, monkeypatch):
+        if limit is not None:
+            monkeypatch.setattr(ConstraintSet, limit, 0)
+        rng = np.random.default_rng(440)
+        cs = random_constraints(rng, random_dataset(rng, 30, 40), 120)
+        g_a, g_b = rng.uniform(-1.0, -0.1, size=(2, len(cs)))
+        want_a, want_b = cs.pair_statistic(g_a), cs.pair_statistic(g_b)  # builds the cached W
+        main, real = threading.current_thread(), sp.csr_matrix.__matmul__
+        got, b_done, threads = {}, threading.Event(), []
+
+        def call_b():
+            got["b"] = cs.pair_statistic(g_b)
+            b_done.set()
+
+        def first_product_runs_b(W, other):
+            # the main thread's first product is its W P: thread B makes a
+            # whole call here, unless the set holds it back until A is done
+            if threading.current_thread() is main and not threads:
+                threads.append(threading.Thread(target=call_b))
+                threads[0].start()
+                b_done.wait(timeout=0.5)
+            return real(W, other)
+
+        monkeypatch.setattr(sp.csr_matrix, "__matmul__", first_product_runs_b)
+        got["a"] = cs.pair_statistic(g_a)
+        threads[0].join(timeout=60)
+        assert not threads[0].is_alive()
+        np.testing.assert_array_equal(got["a"], want_a)
+        np.testing.assert_array_equal(got["b"], want_b)
+
+    def test_concurrent_calls_on_many_threads(self, monkeypatch):
+        # more threads than cores, switching often: each call's statistic
+        # must be that of its own g
+        monkeypatch.setattr(ConstraintSet, "DENSE_DIM_LIMIT", 0)
+        rng = np.random.default_rng(442)
+        cs = random_constraints(rng, random_dataset(rng, 30, 40), 120)
+        gs = rng.uniform(-1.0, -0.1, size=(6, len(cs)))
+        want = [cs.pair_statistic(g) for g in gs]
+        wrong = []
+
+        def calls(k):
+            for _ in range(20):
+                if not np.array_equal(cs.pair_statistic(gs[k]), want[k]):
+                    wrong.append(k)
+
+        threads = [threading.Thread(target=calls, args=(k,)) for k in range(len(gs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+
+    def test_pickles_without_its_lock(self):
+        rng = np.random.default_rng(441)
+        cs = random_constraints(rng, random_dataset(rng, 20, 12), 60)
+        g = rng.uniform(-1.0, 0.0, size=len(cs))
+        want = cs.pair_statistic(g)  # the cached W goes into the pickle too
+        copy = pickle.loads(pickle.dumps(cs))
+        np.testing.assert_array_equal(copy.pair_statistic(g), want)
+        np.testing.assert_array_equal(copy.pair_statistic(g, np.arange(0, len(cs), 3)),
+                                      cs.pair_statistic(g, np.arange(0, len(cs), 3)))
 
 
 class TestAddTranspose:

@@ -195,6 +195,47 @@ def reference_triplet_view(cs: ConstraintSet):
     return X, D, XD
 
 
+def reference_pair_statistic(cs: ConstraintSet, g, subset=None):
+    """pair_statistic with W on its full pattern, explicit zeros kept: W
+    (anchors x n_used) sums g_t at (a, b) and -g_t at (a, c), ab entries
+    first, over the set or the subset's g_t != 0 triplets; then C = P_u^T
+    (W P), densified when d*d <= DENSE_CELL_LIMIT, and C + C^T."""
+    if subset is not None:
+        subset = subset[g[subset] != 0.0]
+    tri, g = (cs.local, g) if subset is None else (cs.local[subset], g[subset])
+    n = cs.P.shape[0]
+    u, row = np.unique(tri[:, 0], return_inverse=True)
+    keys, slot = np.unique(np.concatenate((row * n + tri[:, 1], row * n + tri[:, 2])),
+                           return_inverse=True)
+    data = np.bincount(slot, weights=np.concatenate((g, -g)), minlength=keys.size)
+    indptr = np.searchsorted(keys, np.arange(u.size + 1) * n)
+    W = sp.csr_matrix((data, keys % n, indptr), shape=(u.size, n))
+    assert W.nnz == keys.size  # the zeros stay
+    Pu = cs.P[u]
+    C = (Pu.T if isinstance(Pu, np.ndarray) else Pu.T.tocsr()) @ (W @ cs.P)
+    if sp.issparse(C) and cs.dim * cs.dim <= cs.DENSE_CELL_LIMIT:
+        C = C.toarray()
+    return C + C.T
+
+
+def reference_random_label_triplets(labels, per_instance, rng):
+    """random_label_triplets' former loop, as a T x 3 array: for each anchor
+    a, b drawn from a's class without a and c from every other class, both
+    by rng.choice; anchors alone in their class are skipped."""
+    by_label = {int(l): np.flatnonzero(labels == l) for l in np.unique(labels)}
+    triplets = [np.zeros((0, 3), dtype=np.int64)]
+    for a in range(labels.size):
+        same = by_label[int(labels[a])]
+        same = same[same != a]
+        other = np.flatnonzero(labels != labels[a])
+        if same.size == 0 or other.size == 0:
+            continue
+        bs = rng.choice(same, size=per_instance, replace=True)
+        cs_ = rng.choice(other, size=per_instance, replace=True)
+        triplets.append(np.column_stack((np.full(per_instance, a), bs, cs_)))
+    return np.concatenate(triplets)
+
+
 def reference_lipschitz(cs: ConstraintSet) -> float:
     """The former ConstraintSet.lipschitz_constant: (1/T) * sum_t ||x_t||^2
     ||d_t||^2 as row sums over the triplet view."""
