@@ -4,19 +4,21 @@ from __future__ import annotations
 
 import logging
 import math
-from typing import Callable, Dict, Iterator, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 import numpy as np
 import scipy.sparse as sp
 
 from .model import Model, to_csr_matrix
-from .objective import ConstraintSet
+from .objective import ConstraintSet, map_blocks
 from .sparse_data import Dataset
 
 logger = logging.getLogger(__name__)
 
 
 RANK_BLOCK = 256  # anchors per product and ranking; below 2**15, as block rows are int16
+
+R = TypeVar("R")
 
 
 def similarity_blocks(X: sp.csr_matrix, M: Optional[sp.csr_matrix] = None):
@@ -30,26 +32,47 @@ def similarity_blocks(X: sp.csr_matrix, M: Optional[sp.csr_matrix] = None):
 
 
 def ranked_blocks(
-    sims_of: Callable[[np.ndarray], sp.csr_matrix], anchors: np.ndarray
-) -> Iterator[Tuple[np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]]]:
-    """Rank every other point for each anchor, RANK_BLOCK anchors at a time.
+    sims_of: Callable[[np.ndarray], sp.csr_matrix],
+    anchors: np.ndarray,
+    fn: Callable[[np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]], R],
+    signs: Tuple[int, ...] = (1,),
+) -> List[R]:
+    """Rank every other point for each anchor, RANK_BLOCK anchors at a time,
+    and return [fn(block, at) for each block], in block order.
 
-    Yields (block, at): at(rows, ranks) broadcasts block-local rows against
-    ranks in [0, n - 1) and returns the point at that rank in the ranking
-    of the n - 1 points other than block[row]: most similar first, ties to
-    the lower index, NaN last. That is the order of a stable sort of the
-    row's negated similarities with the anchor left out.
+    at(rows, ranks) broadcasts block-local rows against ranks in [0, n - 1)
+    and returns the point at that rank in the ranking of the n - 1 points
+    other than block[row]: most similar first, ties to the lower index, NaN
+    last. That is the order of a stable sort of the row's negated
+    similarities with the anchor left out. signs=(1, -1) calls fn a second
+    time per block, on the ranking of the negated similarities (least
+    similar first, from the same product); the results then alternate
+    between the two.
 
     sims_of(block) gives the block's similarities as a CSR matrix (or
     anything sp.csr_matrix takes). Only its stored nonzeros are sorted:
     the positives fill the first ranks, then the zero class (every column
     neither stored nor the anchor, in column order), then the negatives
     and NaN. A block costs O((nnz + queries) log nnz) time and
-    O(nnz + queries) memory; nothing is kept between blocks.
+    O(nnz + queries) memory. More than two blocks run on
+    objective.map_blocks' pool, each product, ranking and fn call in one
+    worker, so sims_of and fn must be safe to call from several threads,
+    and fn must write only to what its block owns. A ranking lives only
+    inside its fn call: at most one per worker is alive, and none
+    outlives the call.
     """
-    for lo in range(0, anchors.size, RANK_BLOCK):
-        block = anchors[lo : lo + RANK_BLOCK]
-        yield block, _block_ranking(sp.csr_matrix(sims_of(block)), block)
+
+    def rank(block):
+        S = sp.csr_matrix(sims_of(block))
+        return [fn(block, _block_ranking(S if sign > 0 else -S, block)) for sign in signs]
+
+    blocks = [anchors[lo : lo + RANK_BLOCK] for lo in range(0, anchors.size, RANK_BLOCK)]
+    # two blocks run serially: a worker thread allocates from its own malloc
+    # arena (glibc), which cannot reuse what the calling thread freed, and
+    # pooling gen_links' two blocks at n = 500 saved no time but raised
+    # peak RSS by a block's arrays per worker
+    ranked = map_blocks(rank, blocks, None if len(blocks) > 2 else 1)
+    return [out for outs in ranked for out in outs]
 
 
 def _block_ranking(S: sp.csr_matrix, block: np.ndarray):
@@ -58,7 +81,7 @@ def _block_ranking(S: sp.csr_matrix, block: np.ndarray):
     row = np.repeat(np.arange(B, dtype=np.int16), np.diff(S.indptr))
     val = np.asarray(S.data, dtype=np.float64)
     keep = (val != 0) & (S.indices != block[row])  # NaN != 0 stays
-    row, col, key = row[keep], S.indices[keep].astype(np.int64), -val[keep]
+    row, col, key = row[keep], S.indices[keep], np.negative(val[keep])
     # (row, -value, column) order: a value sort, then a stable row sort;
     # a block with equal values inside a row, or with NaN, takes the exact
     # lexsort instead (about twice as slow on tie-free blocks, so not the
@@ -73,13 +96,19 @@ def _block_ranking(S: sp.csr_matrix, block: np.ndarray):
     start = np.concatenate(([0], np.cumsum(count)))
     n_pos = np.bincount(row[key < 0], minlength=B)
     n_zero = n - 1 - count
-    # the zero class of row r: the columns not in excl, its stored columns
-    # and the anchor, sorted; free[g] = r*n + (excluded column - its place
-    # in the row) counts the zero-class columns before it, so the k-th
-    # zero-class column is k + (excluded columns with free <= r*n + k)
-    excl = np.sort(np.concatenate((row * np.int64(n) + col, np.arange(B) * n + block)))
+    # the zero class of row r: every column but the excluded ones, its
+    # stored columns and the anchor; with those sorted, free[g] = r*n +
+    # (excluded column - its place in the row) counts the zero-class columns
+    # before it, so the k-th zero-class column is k + (excluded columns with
+    # free <= r*n + k). free is built in place once the sort keys are gone,
+    # which lowers the block's peak memory
+    free = np.concatenate((row * np.int64(n), np.arange(B) * n + block))
+    free[: col.size] += col
+    del r, k, order, key, row, col, keep
+    free.sort()
     excl_start = start[:-1] + np.arange(B)
-    free = excl - (np.arange(excl.size) - np.repeat(excl_start, count + 1))
+    free -= np.arange(free.size)
+    free += np.repeat(excl_start, count + 1)
 
     def at(rows, ranks):
         rows, ranks = np.broadcast_arrays(np.asarray(rows), np.asarray(ranks))
@@ -110,7 +139,7 @@ def neighbors_triplets(ds: Dataset, n_targets: int = 3, n_impostors: int = 5) ->
     first 4 (n_targets + n_impostors) ranks, and doubles that while it
     lacks candidates, up to all n - 1: O(nnz log nnz + n w log nnz) time
     for the nnz stored similarities and w ranks read per anchor, and
-    O(nnz of a block + RANK_BLOCK w) memory.
+    O(nnz of a block + RANK_BLOCK w) memory per worker of the pool.
     """
     if ds.labels is None:
         raise ValueError("labeled dataset required")
@@ -128,8 +157,6 @@ def _neighbor_triplets(
 ) -> np.ndarray:
     """neighbors_triplets' ranking pass, as a T x 3 array; neither a block
     ranking nor the per-anchor arrays outlive it."""
-    triplets = [np.zeros((0, 3), dtype=np.int64)]
-    skipped = 0
     n = labels.size
     head = min(n - 1, 4 * (n_targets + n_impostors))
 
@@ -140,7 +167,9 @@ def _neighbor_triplets(
         enough = targets.size == n_targets and impostors.size == n_impostors
         return (targets, impostors) if enough else None
 
-    for block, at in ranked_blocks(sims_of, np.arange(n)):
+    def block_triplets(block, at):
+        """The block's triplets and the number of its anchors skipped."""
+        triplets, skipped = [np.zeros((0, 3), dtype=np.int64)], 0
         heads = at(np.arange(block.size)[:, None], np.arange(head))
         for r, a in enumerate(block.tolist()):
             width, found = head, pick(a, heads[r])
@@ -153,9 +182,13 @@ def _neighbor_triplets(
             targets, impostors = found  # b in targets, then c in impostors
             bs, cs = np.repeat(targets, n_impostors), np.tile(impostors, n_targets)
             triplets.append(np.column_stack((np.full(bs.size, a), bs, cs)))
+        return np.concatenate(triplets), skipped
+
+    parts = ranked_blocks(sims_of, np.arange(n), block_triplets)
+    skipped = sum(count for _, count in parts)
     if skipped:
         logger.warning("neighbors_triplets: skipped %d instances with too few candidates", skipped)
-    return np.concatenate(triplets)
+    return np.concatenate([np.zeros((0, 3), dtype=np.int64)] + [t for t, _ in parts])
 
 
 def random_label_triplets(
@@ -204,8 +237,10 @@ def truth_triplets(
     stay disjoint under ties. The unique anchors are ranked RANK_BLOCK at a
     time by ranked_blocks, one (X M)[block] X^T product each, and only the
     two drawn ranks per triplet are read: O((nnz + count) log nnz) time for
-    the nnz stored similarities and O(nnz of a block + count) memory, with
-    no dense block and no pools kept. The draws are the anchors,
+    the nnz stored similarities and O(nnz of a block per worker + count)
+    memory, with no dense block and no pools kept. The triplets are split
+    by block in one stable sort, and each block's worker writes its
+    triplets' b and c into their rows. The draws are the anchors,
     then one rank in each pool per triplet, so the output and the
     generator state equal those of drawing per triplet from stored pools.
     """
@@ -226,12 +261,20 @@ def truth_triplets(
     picks = rng.integers(0, t_size, size=(count, 2))
     picks[:, 1] += n - 1 - t_size
     uniq, inv = np.unique(anchors, return_inverse=True)
+    # the triplets split by block in one stable sort; every block has some
     block_of = inv // RANK_BLOCK
+    order = np.argsort(block_of, kind="stable")
+    rows_of = np.split(order, np.flatnonzero(np.diff(block_of[order])) + 1)
     triplets = np.empty((count, 3), dtype=np.int64)
     triplets[:, 0] = anchors
-    for k, (_, at) in enumerate(ranked_blocks(sims_of, uniq)):
-        rows = np.flatnonzero(block_of == k)
-        triplets[rows, 1:] = at(inv[rows, None] - k * RANK_BLOCK, picks[rows])
+
+    def fill(block, at):
+        """b and c of the block's triplets, written into their own rows."""
+        lo = np.searchsorted(uniq, block[0])  # block is uniq[lo : lo + RANK_BLOCK]
+        rows = rows_of[lo // RANK_BLOCK]
+        triplets[rows, 1:] = at(inv[rows, None] - lo, picks[rows])
+
+    ranked_blocks(sims_of, uniq, fill)
     return ConstraintSet(samples, triplets)
 
 

@@ -24,6 +24,9 @@ from .sparse_data import Dataset
 # statistic: a 128 x 128 float64 tile is 128 KB, and a 128-row band of a
 # d = 2,000 H is 2 MB
 DENSE_TILE = 128
+# triplets per band of the XD build: a band's x_a, x_b - x_c and product
+# rows are its only transients
+TRIPLET_BAND = 4096
 
 
 def usable_cpus() -> int:
@@ -35,19 +38,27 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_bands(fn, d: int, tile: int, workers: int) -> list:
-    """[fn(rows) for each band `rows` = slice(lo, lo + tile) of range(d)],
-    in band order. With more than one band and workers > 1 the bands run on
-    a thread pool of that many workers (at most one per band), created here
-    and joined before the call returns; numpy and scipy's sparse kernels
-    release the GIL, so the bands overlap. fn must write only to what its
-    own band owns."""
-    bands = [slice(lo, lo + tile) for lo in range(0, d, tile)]
-    workers = min(len(bands), workers)
+def _bands(n: int, size: int) -> list:
+    """slice(lo, lo + size) for each band of range(n), in order; one empty
+    band when n is 0."""
+    return [slice(lo, lo + size) for lo in range(0, max(n, 1), size)]
+
+
+def map_blocks(fn, blocks, workers: Optional[int] = None) -> list:
+    """[fn(block) for block in blocks], in block order: the one thread pool
+    of the library. With more than one block and more than one worker
+    (usable_cpus() when workers is None) the blocks run on a
+    ThreadPoolExecutor of that many workers, at most one per block, made
+    here and joined before the call returns; numpy's sorts and scipy's
+    sparse kernels release the GIL, so the blocks overlap. Otherwise they
+    run serially in the calling thread. fn must write only to what its own
+    block owns, so the results hold the same bits for any worker count."""
+    blocks = list(blocks)
+    workers = min(len(blocks), usable_cpus() if workers is None else workers)
     if workers <= 1:
-        return [fn(rows) for rows in bands]
+        return [fn(block) for block in blocks]
     with ThreadPoolExecutor(workers) as pool:
-        return list(pool.map(fn, bands))
+        return list(pool.map(fn, blocks))
 
 
 def smoothed_hinge(m):
@@ -78,7 +89,11 @@ class ConstraintSet:
     heuristic oracle's partner scores work from them. The one per-triplet
     matrix is `XD` (T x d CSR), the rows x_a * (x_b - x_c) of _triplet_rows:
     its column sums over the heuristic's active batch are that oracle's
-    diagonal. The constructor rejects non-finite referenced point values.
+    diagonal. It is built in bands of TRIPLET_BAND triplets on map_blocks'
+    pool and joined in band order; every row is computed on its own, so
+    XD holds the same bits for any CPU count, and only one band's
+    transients are alive per worker. The constructor rejects non-finite
+    referenced point values.
 
     Form rules: P is dense when d <= DENSE_DIM_LIMIT and n_used*d <=
     DENSE_CELL_LIMIT, and CSR otherwise; the pair statistic H is a dense
@@ -110,9 +125,8 @@ class ConstraintSet:
         self.P = dataset.to_csr()[used]
         if not np.isfinite(self.P.data).all():
             raise ValueError("point values must be finite")
-        X, D = self._triplet_rows()
-        self.XD: sp.csr_matrix = X.multiply(D)
-        self.XD.eliminate_zeros()
+        parts = map_blocks(self._xd_band, _bands(len(arr), TRIPLET_BAND))
+        self.XD: sp.csr_matrix = sp.vstack(parts, format="csr")
         # P is dense when d and n_used*d are small, where a BLAS product beats
         # sparse bookkeeping by a wide margin, and CSR otherwise
         if self.dim <= self.DENSE_DIM_LIMIT and used.size * self.dim <= self.DENSE_CELL_LIMIT:
@@ -127,14 +141,22 @@ class ConstraintSet:
     def __setstate__(self, state):
         self.__dict__.update(state, _lock=threading.Lock())
 
-    def _triplet_rows(self):
-        """Anchor rows x_a and difference rows x_b - x_c (T x d CSR each, no
-        stored zeros), from the referenced points as CSR rows."""
+    def _triplet_rows(self, rows=slice(None)):
+        """Anchor rows x_a and difference rows x_b - x_c (CSR, no stored
+        zeros) of the triplets `rows`, from the referenced points as CSR rows."""
         P = sp.csr_matrix(self.P)
-        a, b, c = self.local.T
+        a, b, c = self.local[rows].T
         D = P[b] - P[c]
         D.eliminate_zeros()
         return P[a], D
+
+    def _xd_band(self, rows):
+        """The rows x_a * (x_b - x_c) of XD for the triplets `rows`, no
+        stored zeros; every row is computed on its own."""
+        X, D = self._triplet_rows(rows)
+        XD = X.multiply(D)
+        XD.eliminate_zeros()
+        return XD
 
     # built on each access, only for perfbench/tracer.py's pair-product counter
     X = property(lambda self: self._triplet_rows()[0])
@@ -174,7 +196,7 @@ class ConstraintSet:
         O(d^2) pass in DENSE_TILE x DENSE_TILE tile pairs. Besides it, only
         the sparse W P and one sparse band product per worker are alive.
         With a CSR P the bands and the transpose's row bands run on a
-        thread pool of one worker per usable CPU (_map_bands); every row of
+        thread pool of one worker per usable CPU (map_blocks); every row of
         a sparse product is computed on its own, so the result holds the
         same bits for any number of CPUs. A dense P and a CSR result are
         computed serially, as one product C and C + C^T.
@@ -190,10 +212,14 @@ class ConstraintSet:
                 W, indices, indptr, slot, PuT = self._anchor_pattern(self.local[active])
             data = np.bincount(slot, weights=np.concatenate((g, -g)), minlength=indices.size)
             # W keeps its nonzero entries, assigned directly: a new matrix
-            # would cost more in format checks than W P does
-            keep = np.flatnonzero(data)
-            W.data, W.indices = data[keep], indices[keep]
-            W.indptr = np.searchsorted(keep, indptr).astype(indptr.dtype)
+            # would cost more in format checks than W P does; with none zero
+            # it is the pattern itself
+            if data.all():
+                W.data, W.indices, W.indptr = data, indices, indptr
+            else:
+                keep = np.flatnonzero(data)
+                W.data, W.indices = data[keep], indices[keep]
+                W.indptr = np.searchsorted(keep, indptr).astype(indptr.dtype)
             WP = W @ self.P
         d = self.dim
         if d * d > self.DENSE_CELL_LIMIT:
@@ -203,7 +229,7 @@ class ConstraintSet:
             return _add_transpose(PuT @ WP)
         workers = usable_cpus()
         C = np.empty((d, d))
-        _map_bands(lambda rows: (PuT[rows] @ WP).toarray(out=C[rows]), d, DENSE_TILE, workers)
+        map_blocks(lambda rows: (PuT[rows] @ WP).toarray(out=C[rows]), _bands(d, DENSE_TILE), workers)
         return _add_transpose(C, workers)
 
     def _anchor_pattern(self, tri: np.ndarray):
@@ -252,7 +278,7 @@ def _add_transpose(C: np.ndarray, workers: int = 1) -> np.ndarray:
     the same bits. A diagonal tile adds a copy of its own transpose, which
     at d = 64 is faster than numpy's buffering of the overlapping view.
     Row band r reads and writes only tiles (r, c >= r) and their mirrors,
-    so with workers > 1 the bands run on _map_bands' pool. No other d x d
+    so with workers > 1 the bands run on map_blocks' pool. No other d x d
     array is made: each worker's temporaries are tile-sized.
     """
     d, tile = C.shape[0], DENSE_TILE
@@ -265,7 +291,7 @@ def _add_transpose(C: np.ndarray, workers: int = 1) -> np.ndarray:
             C[rows, cols] += C[cols, rows].T
             C[cols, rows] = C[rows, cols].T
 
-    _map_bands(band, d, tile, workers)
+    map_blocks(band, _bands(d, tile), workers)
     return C
 
 

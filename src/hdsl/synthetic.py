@@ -7,7 +7,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .constraints import RANK_BLOCK, _block_ranking, similarity_blocks
+from .constraints import ranked_blocks, similarity_blocks
 from .model import NEG, POS, BasisId, Model, to_csr_matrix
 from .sparse_data import Dataset, csr_from_rows
 
@@ -169,10 +169,10 @@ def gen_links(
     y=+1 when the truth similarity of the pair ranks in the top fraction of
     either endpoint's neighbors, y=-1 for the bottom fraction; pairs
     qualifying for both are dropped. Positive and negative links are
-    sampled in equal numbers. Ranks come from _block_ranking (as in
-    ranked_blocks), ties to the lower index and the zero class in index
-    order; each block's similarity product is ranked both ways, and only
-    the first t ranks of each row are read, t = ceil(top_frac (n - 1)).
+    sampled in equal numbers. Ranks come from ranked_blocks, ties to the
+    lower index and the zero class in index order; each block's similarity
+    product is ranked both ways in one worker of its pool, and only the
+    first t ranks of each row are read, t = ceil(top_frac (n - 1)).
     """
     if not 0.0 < top_frac < 0.5:
         raise ValueError("top_frac must be in (0, 0.5)")
@@ -181,17 +181,16 @@ def gen_links(
     t = math.ceil(top_frac * (n - 1))
     sims_of = similarity_blocks(samples.to_csr(), to_csr_matrix(truth))
 
-    # keys a*n + b (a < b) of each point's t best-ranked partners, ranked by
-    # S for the positives and by -S for the negatives from one CSR product
-    # S per block; ties go to the lower index in both rankings
-    pos, neg = [np.zeros(0, dtype=np.int64)], [np.zeros(0, dtype=np.int64)]
-    for block in np.split(np.arange(n), np.arange(RANK_BLOCK, n, RANK_BLOCK)):
-        S, a = sims_of(block), block[:, None]
-        for parts, sims in ((pos, S), (neg, -S)):
-            b = _block_ranking(sims, block)(np.arange(block.size)[:, None], np.arange(t))
-            parts.append((np.minimum(a, b) * n + np.maximum(a, b)).ravel())
+    def keys(block, at):
+        """Keys a*n + b (a < b) of each anchor's t best-ranked partners."""
+        a, b = block[:, None], at(np.arange(block.size)[:, None], np.arange(t))
+        return (np.minimum(a, b) * n + np.maximum(a, b)).ravel()
+
+    # ranked by S for the positives and by -S for the negatives, from one
+    # CSR product S per block; ties go to the lower index in both rankings
+    ranked = [np.zeros(0, dtype=np.int64)] * 2 + ranked_blocks(sims_of, np.arange(n), keys, (1, -1))
     # a sort, not np.unique's hash table
-    pos_keys, neg_keys = (np.sort(np.concatenate(parts)) for parts in (pos, neg))
+    pos_keys, neg_keys = (np.sort(np.concatenate(ranked[s::2])) for s in (0, 1))
     pos_keys, neg_keys = (k[np.diff(k, prepend=-1) != 0] for k in (pos_keys, neg_keys))
     pos_pairs = np.setdiff1d(pos_keys, neg_keys, assume_unique=True)
     neg_pairs = np.setdiff1d(neg_keys, pos_keys, assume_unique=True)

@@ -1,4 +1,6 @@
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hdsl.constraints as constraints_mod
 from hdsl.constraints import (
     RANK_BLOCK,
     link_triplets,
@@ -16,13 +19,19 @@ from hdsl.constraints import (
 )
 from hdsl.evaluation import link_auc
 from hdsl.model import NEG, POS, BasisId, Model
+from hdsl.objective import ConstraintSet
 from hdsl.sparse_data import Dataset, SparseVector
 from hdsl.synthetic import gen_links, gen_truth
 
 from util import (
     _ranked,
+    assert_same_csr,
+    count_pools,
     dense_model_matrix,
+    objective_mod,
+    on_cpus,
     random_sparse_dataset,
+    random_triplets,
     reference_gen_links,
     reference_neighbors_triplets,
     reference_random_label_triplets,
@@ -366,10 +375,11 @@ class TestBlockBuildersMatchReference:
         sims = rng.integers(0, 3, size=(n, n)).astype(float)  # coarse, so most pairs tie
         sims[rng.random((n, n)) < nan_frac] = np.nan  # the diagonal too
         anchors = rng.permutation(n)
-        blocks = list(ranked_blocks(lambda block: sims[block], anchors))
+        blocks = ranked_blocks(lambda block: sims[block], anchors, lambda block, at: (
+            block, at(np.arange(block.size)[:, None], np.arange(n - 1))))
         np.testing.assert_array_equal(np.concatenate([b for b, _ in blocks]), anchors)
-        for block, at in blocks:
-            for a, row in zip(block, at(np.arange(block.size)[:, None], np.arange(n - 1))):
+        for block, ranks in blocks:
+            for a, row in zip(block, ranks):
                 ref = np.argsort(-sims[a], kind="stable")
                 np.testing.assert_array_equal(row, ref[ref != a])
                 assert np.all(np.diff(np.isnan(sims[a, row]).astype(int)) >= 0)
@@ -384,6 +394,117 @@ class TestBlockBuildersMatchReference:
         assert got == want
         assert all(type(v) is int for link in got for v in link)
         assert got_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+class TestPooledBuilds:
+    """The ranked builders and the XD build run their blocks on
+    objective.map_blocks' pool: outputs and generator states must hold the
+    same bits for any CPU count, and at most one block ranking per worker
+    may be alive."""
+
+    CPUS = (1, 2, 4)
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        return count_pools(monkeypatch)
+
+    on_cpus = staticmethod(on_cpus)
+
+    truth = TestBlockBuildersMatchReference.truth
+
+    def test_truth_triplets(self, monkeypatch, pools):
+        ds = tied_dataset(np.random.default_rng(30), 2 * RANK_BLOCK + 90)
+        truth = self.truth(ds.dim)
+        runs = []
+        for cpus in self.CPUS:
+            rng = np.random.default_rng(31)
+            cs = self.on_cpus(monkeypatch, cpus, truth_triplets, ds, truth, 0.2, 4000, rng)
+            runs.append((cs.triplets, rng.integers(0, 2**62, size=4)))
+        assert np.unique(runs[0][0][:, 0]).size > 2 * RANK_BLOCK  # three blocks
+        for triplets, draws in runs[1:]:
+            np.testing.assert_array_equal(triplets, runs[0][0])
+            np.testing.assert_array_equal(draws, runs[0][1])
+        assert pools[0] > 0
+
+    def test_neighbors_triplets(self, monkeypatch, pools, caplog):
+        ds = tied_dataset(np.random.default_rng(32), 2 * RANK_BLOCK + 40, labels=40)
+        runs = []
+        for cpus in self.CPUS:
+            caplog.clear()
+            cs = self.on_cpus(monkeypatch, cpus, neighbors_triplets, ds, 3, 2)
+            runs.append((cs.triplets, caplog.text))
+        assert len(runs[0][0]) > 0
+        for triplets, log in runs[1:]:
+            np.testing.assert_array_equal(triplets, runs[0][0])
+            assert log == runs[0][1]
+        assert pools[0] > 0
+
+    def test_gen_links(self, monkeypatch, pools):
+        ds = tied_dataset(np.random.default_rng(33), 2 * RANK_BLOCK + 60)
+        truth = self.truth(ds.dim)
+        runs = []
+        for cpus in self.CPUS:
+            rng = np.random.default_rng(34)
+            links = self.on_cpus(monkeypatch, cpus, gen_links, ds, truth, 60, 0.1, rng)
+            runs.append((links, rng.integers(0, 2**62, size=4)))
+        for links, draws in runs[1:]:
+            assert links == runs[0][0]
+            np.testing.assert_array_equal(draws, runs[0][1])
+        assert pools[0] > 0
+
+    def test_xd(self, monkeypatch, pools):
+        rng = np.random.default_rng(35)
+        ds = random_sparse_dataset(rng, 60, 40, max_nnz=8)
+        T = 2 * objective_mod.TRIPLET_BAND + 500  # three bands
+        trips = random_triplets(rng, 60, T)
+        sets = [self.on_cpus(monkeypatch, cpus, ConstraintSet, ds, trips) for cpus in self.CPUS]
+        # the unbanded product, as one band
+        X, D = sets[0]._triplet_rows()
+        whole = X.multiply(D)
+        whole.eliminate_zeros()
+        for cs in sets:
+            assert cs.XD.shape == (T, ds.dim) and isinstance(cs.XD, sp.csr_matrix)
+            assert_same_csr(cs.XD, whole)
+        assert pools[0] == len(self.CPUS) - 1
+
+    def test_two_blocks_run_serially(self, monkeypatch, pools):
+        # a pool would cost each worker a block's allocations and save no time
+        ds = tied_dataset(np.random.default_rng(38), RANK_BLOCK + 60)
+        self.on_cpus(monkeypatch, 4, gen_links, ds, self.truth(ds.dim), 40, 0.1, np.random.default_rng(39))
+        assert pools[0] == 0
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("build", ["truth", "neighbors", "links"])
+    def test_at_most_one_ranking_per_worker(self, cpus, build, monkeypatch):
+        lock, alive, peak, made = threading.Lock(), [0], [0], [0]
+        real = constraints_mod._block_ranking
+
+        def release():
+            with lock:
+                alive[0] -= 1
+
+        def tracked(S, block):
+            at = real(S, block)
+            with lock:
+                alive[0] += 1
+                made[0] += 1
+                peak[0] = max(peak[0], alive[0])
+            weakref.finalize(at, release)
+            return at
+
+        monkeypatch.setattr(constraints_mod, "_block_ranking", tracked)
+        ds = tied_dataset(np.random.default_rng(36), 3 * RANK_BLOCK + 20)
+        truth, rng = self.truth(ds.dim), np.random.default_rng(37)
+        run = {"truth": lambda: truth_triplets(ds, truth, 0.2, 3000, rng),
+               "neighbors": lambda: neighbors_triplets(ds, 2, 2),
+               "links": lambda: gen_links(ds, truth, 40, 0.1, rng)}[build]
+        out = self.on_cpus(monkeypatch, cpus, run)
+        ranked = np.unique(out.triplets[:, 0]).size if build == "truth" else len(ds)
+        blocks = -(-ranked // RANK_BLOCK)
+        assert blocks >= 3
+        assert made[0] == blocks * (2 if build == "links" else 1)  # links rank both ways
+        assert alive[0] == 0
+        assert 1 <= peak[0] <= cpus
 
 
 def stored_csr(values, stored, rng):
@@ -403,13 +524,19 @@ def assert_ranks_match_reference(values, stored, anchors, rng):
     n = values.shape[0]
     S = stored_csr(values, stored, rng)
     dense = np.where(stored, values, 0.0)
-    blocks = list(ranked_blocks(lambda block: S[block], anchors))
-    np.testing.assert_array_equal(np.concatenate([b for b, _ in blocks]), anchors)
-    for block, at in blocks:
+
+    def lookups(block, at):
+        # 50 random queries too, from a generator of the block's own
+        local = np.random.default_rng(int(block[0]))
+        rows, ranks = local.integers(0, block.size, 50), local.integers(0, n - 1, 50)
+        return block, at(np.arange(block.size)[:, None], np.arange(n - 1)), rows, ranks, at(rows, ranks)
+
+    blocks = ranked_blocks(lambda block: S[block], anchors, lookups)
+    np.testing.assert_array_equal(np.concatenate([b[0] for b in blocks]), anchors)
+    for block, ranked, rows, ranks, picked in blocks:
         want = np.array([_ranked(dense[a], a) for a in block]).reshape(block.size, n - 1)
-        np.testing.assert_array_equal(at(np.arange(block.size)[:, None], np.arange(n - 1)), want)
-        rows, ranks = rng.integers(0, block.size, 50), rng.integers(0, n - 1, 50)
-        np.testing.assert_array_equal(at(rows, ranks), want[rows, ranks])
+        np.testing.assert_array_equal(ranked, want)
+        np.testing.assert_array_equal(picked, want[rows, ranks])
 
 
 class TestSparseRankKernel:

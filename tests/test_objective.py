@@ -22,7 +22,7 @@ from hdsl.objective import (
 )
 from hdsl.sparse_data import Dataset, SparseVector
 
-from util import basis_inner, reference_pair_statistic, reference_triplet_view
+from util import basis_inner, count_pools, on_cpus, reference_pair_statistic, reference_triplet_view
 
 # the module, not the `objective` function the package exports by that name
 objective_mod = importlib.import_module("hdsl.objective")
@@ -311,6 +311,29 @@ class TestSingleWRule:
                         assert 2 * (indices.size - W.nnz) < indices.size
         assert dropped_few > 0
 
+    @pytest.mark.parametrize("limit", [None, "DENSE_DIM_LIMIT"])
+    @pytest.mark.parametrize("zero_share", [0.0, 0.5])
+    def test_w_p_bit_equal_to_compacted_w(self, limit, zero_share, monkeypatch):
+        """With no zero entry the full-set W is its pattern itself, else it
+        is compacted; either way W P holds the bits of the compacted W's."""
+        if limit is not None:
+            monkeypatch.setattr(ConstraintSet, limit, 0)
+        rng = np.random.default_rng(440)
+        cs = random_constraints(rng, random_dataset(rng, 40, 30), 300)
+        assert isinstance(cs.P, np.ndarray) == (limit is None)
+        for _ in range(2):  # the second call refills the cached W
+            g = rng.uniform(-1.0, -0.1, size=len(cs))
+            g[rng.random(len(cs)) < zero_share] = 0.0
+            cs.pair_statistic(g)
+            W, indices, indptr, slot, _ = cs._full_pattern
+            data = np.bincount(slot, weights=np.concatenate((g, -g)), minlength=indices.size)
+            assert data.all() == (zero_share == 0.0)
+            assert (W.indices is indices) == (zero_share == 0.0)
+            compact = sp.csr_matrix((data, indices, indptr), shape=W.shape)
+            compact.eliminate_zeros()
+            assert W.nnz == compact.nnz
+            self.assert_same_bits(W @ cs.P, compact @ cs.P)
+
 
 class TestSharedSet:
     """One set shared across threads: each pair_statistic call gets the
@@ -428,30 +451,9 @@ class TestBandPool:
 
     @pytest.fixture
     def pools(self, monkeypatch):
-        """The number of thread pools made so far, as a one-item list."""
-        made = [0]
-        real = objective_mod.ThreadPoolExecutor
+        return count_pools(monkeypatch)
 
-        def counting(*args, **kwargs):
-            made[0] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(objective_mod, "ThreadPoolExecutor", counting)
-        return made
-
-    @staticmethod
-    def on_cpus(monkeypatch, n, fn, *args):
-        # a short switch interval makes the workers interleave often, so
-        # that a band writing outside its own rows would show
-        monkeypatch.setattr(objective_mod, "usable_cpus", lambda: n)
-        threads, interval = threading.active_count(), sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            out = fn(*args)
-        finally:
-            sys.setswitchinterval(interval)
-        assert threading.active_count() == threads
-        return out
+    on_cpus = staticmethod(on_cpus)
 
     @staticmethod
     def instance(rng, dim):
@@ -530,10 +532,11 @@ class TestBandPool:
             return rows.start
 
         threads = threading.active_count()
+        bands = objective_mod._bands(10, 3)
         with pytest.raises(FloatingPointError, match="band 6"):
-            objective_mod._map_bands(band, 10, 3, 4)
+            objective_mod.map_blocks(band, bands, 4)
         assert threading.active_count() == threads
-        assert objective_mod._map_bands(lambda rows: rows.start, 10, 3, 4) == [0, 3, 6, 9]
+        assert objective_mod.map_blocks(lambda rows: rows.start, bands, 4) == [0, 3, 6, 9]
 
 
 class TestUpdateCache:

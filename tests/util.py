@@ -5,7 +5,10 @@ through the solver's sparse accumulators, so it can serve as an independent
 check of those paths.
 """
 
+import importlib
 import math
+import sys
+import threading
 
 import numpy as np
 import scipy.sparse as sp
@@ -14,6 +17,40 @@ from hdsl.model import NEG, POS, BasisId, Model, to_csr_matrix
 from hdsl.objective import ConstraintSet, MarginCache, smoothed_hinge_deriv, update_cache_sparse
 from hdsl.solver import ATOM_DROP_TOL, SolverState
 from hdsl.sparse_data import Dataset, SparseVector
+
+
+# the module, not the `objective` function the package exports by that name
+objective_mod = importlib.import_module("hdsl.objective")
+
+
+def count_pools(monkeypatch):
+    """The number of thread pools hdsl.objective makes from now on, as a
+    one-item list."""
+    made = [0]
+    real = objective_mod.ThreadPoolExecutor
+
+    def counting(*args, **kwargs):
+        made[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(objective_mod, "ThreadPoolExecutor", counting)
+    return made
+
+
+def on_cpus(monkeypatch, n, fn, *args, **kwargs):
+    """fn(*args, **kwargs) with usable_cpus() patched to n; asserts that no
+    thread outlives the call. A short switch interval makes the workers
+    interleave often, so that a block writing outside its own rows would
+    show."""
+    monkeypatch.setattr(objective_mod, "usable_cpus", lambda: n)
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        out = fn(*args, **kwargs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    return out
 
 
 def assert_same_csr(got, want):
