@@ -5,11 +5,25 @@ from __future__ import annotations
 from typing import Iterable, Set, Tuple
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .constraints import link_array
 from .model import Model, factorize, project_dataset, to_csr_matrix
 from .sparse_data import Dataset
+
+
+def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Ranks 1..n of the 1-D x, each tie group given the mean of its ranks;
+    all NaN if x holds a NaN. Bit-equal to scipy.stats.rankdata(x): the
+    ranks are exact half-integers."""
+    if np.isnan(x).any():
+        return np.full(x.size, np.nan)
+    order = np.argsort(x)
+    xs = x[order]
+    starts = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])
+    ends = np.r_[starts[1:], x.size]
+    ranks = np.empty(x.size)
+    ranks[order] = np.repeat((starts + ends + 1) / 2.0, ends - starts)
+    return ranks
 
 
 def _auc_from_arrays(scores: np.ndarray, positive: np.ndarray) -> float:
@@ -18,14 +32,15 @@ def _auc_from_arrays(scores: np.ndarray, positive: np.ndarray) -> float:
     n_neg = positive.size - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("need at least one positive and one negative")
-    ranks = rankdata(scores)
+    ranks = _average_ranks(scores)
     u = ranks[positive].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
 
 def auc(scores: Iterable[Tuple[object, float]], positives: Set[object]) -> float:
     """Probability a random positive outscores a random negative (ties: 0.5)."""
-    items, vals = zip(*scores) if scores else ((), ())
+    pairs = list(scores)
+    items, vals = zip(*pairs) if pairs else ((), ())
     vals = np.asarray(vals, dtype=np.float64)
     mask = np.array([item in positives for item in items], dtype=bool)
     return _auc_from_arrays(vals, mask)
@@ -121,7 +136,7 @@ def entry_recovery_auc(model: Model, truth_entries: Set[Tuple[int, int]]) -> flo
     n_z = n_neg - n_s
 
     if p_s and n_s:
-        ranks = rankdata(np.concatenate([pos_scores, neg_scores]))
+        ranks = _average_ranks(np.concatenate([pos_scores, neg_scores]))
         u_ss = float(ranks[:p_s].sum() - p_s * (p_s + 1) / 2.0)
     else:
         u_ss = 0.0

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import rankdata
 
+import hdsl
 from hdsl.evaluation import (
+    _average_ranks,
     auc,
     entry_recovery_auc,
     feature_recovery_auc,
@@ -86,6 +93,91 @@ class TestAuc:
                         elif vals[i] == vals[j]:
                             wins += 0.5
             assert auc(list(enumerate(vals)), pos) == pytest.approx(wins / total)
+
+    @pytest.mark.parametrize("empty", [list, iter, lambda xs: (x for x in xs)],
+                             ids=["list", "iter", "generator"])
+    def test_empty_scores_give_the_documented_error(self, empty):
+        with pytest.raises(ValueError, match="at least one positive and one negative"):
+            auc(empty(()), {"a"})
+
+    def test_generator_scores_read_once(self):
+        scores = [("a", 3.0), ("b", 1.0), ("c", 2.0), ("d", 2.0)]
+        assert auc((s for s in scores), {"a", "c"}) == auc(scores, {"a", "c"}) == 0.875
+
+
+# a small pool of values, so that hypothesis draws heavy ties; -0.0 and 0.0 tie
+TIED_FLOATS = st.sampled_from([-np.inf, -2.5, -1.0, -0.0, 0.0, 1e-300, 1.0, 3.5, np.inf])
+
+
+class TestAverageRanks:
+    """The numpy rank helper against scipy.stats.rankdata, bit for bit."""
+
+    @staticmethod
+    def assert_bit_equal(x):
+        got, want = _average_ranks(x), rankdata(x)
+        assert got.dtype == want.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.one_of(TIED_FLOATS, st.floats(allow_nan=False)), max_size=200))
+    def test_bit_equal_to_scipy(self, vals):
+        self.assert_bit_equal(np.array(vals, dtype=np.float64))
+
+    def test_signed_zeros_and_infinities_tie(self):
+        x = np.array([0.0, -np.inf, -0.0, np.inf, 0.0, -np.inf])
+        assert _average_ranks(x).tolist() == [4.0, 1.5, 4.0, 6.0, 4.0, 1.5]
+        self.assert_bit_equal(x)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.one_of(TIED_FLOATS, st.floats(allow_nan=False)), max_size=40),
+           st.integers(min_value=0, max_value=40))
+    def test_a_nan_gives_all_nan(self, vals, at):
+        x = np.insert(np.array(vals, dtype=np.float64), min(at, len(vals)), np.nan)
+        got = _average_ranks(x)
+        assert got.shape == x.shape and np.isnan(got).all()
+        assert np.isnan(rankdata(x)).all()
+
+
+class TestMetricsUnchanged:
+    """The four AUC metrics return, bit for bit, the values they returned
+    when they ranked with scipy.stats.rankdata; every input holds ties."""
+
+    def test_values(self):
+        rng = np.random.default_rng(24)
+        vals = np.round(rng.normal(size=300), 1)
+        pos = set(rng.choice(300, size=120, replace=False).tolist())
+        assert auc(list(enumerate(vals)), pos) == 0.4883101851851852
+        truth = gen_truth(200, n_bases=30, rng=rng)
+        m = mixed_sign_model(rng, 200, 60, lam=5.0, n_features=80)
+        assert feature_recovery_auc(m, truth.feature_set()) == 0.4742319749216301
+        entries = {(b.i, b.j) for b in truth.atoms} | {(b.i, b.j) for b in list(m.atoms)[::3]}
+        assert entry_recovery_auc(m, entries) == 0.6990458438287154
+        samples = gen_uniform_sparse(80, 30, sparsity=0.25, rng=rng)
+        links = gen_links(samples, gen_truth(30, n_bases=10, rng=rng), n_links=200,
+                          top_frac=0.08, rng=rng)
+        assert link_auc(mixed_sign_model(rng, 30, 8, lam=2.0), samples, links) == 0.686
+
+
+def loaded_modules(code):
+    """The names in sys.modules after running `code` in a fresh interpreter
+    that finds this checkout's hdsl."""
+    src = str(Path(hdsl.__file__).resolve().parents[1])
+    out = subprocess.run(
+        [sys.executable, "-c", code + "; import sys; print(*sorted(sys.modules))"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, check=True,
+    ).stdout
+    return set(out.split())
+
+
+class TestImportFootprint:
+    """Importing hdsl loads no scipy module beyond what scipy.sparse loads."""
+
+    def test_only_numpy_and_scipy_sparse(self):
+        ours = loaded_modules("import hdsl, hdsl.cli")
+        sparse = loaded_modules("import scipy.sparse")
+        assert "hdsl.cli" in ours and "scipy.sparse" in sparse
+        assert "scipy.stats" not in ours
+        assert {m for m in ours if m.split(".")[0] == "scipy"} <= sparse
 
 
 class TestKnnError:
