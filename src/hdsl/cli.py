@@ -79,6 +79,14 @@ def _load_dataset(path: str, dim=None) -> Dataset:
         raise CliError(f"{path}: {exc}", EXIT_IO) from exc
 
 
+def _normalize(ds: Dataset, scales: np.ndarray, path: str) -> Dataset:
+    """--normalize: ds divided by the training split's feature scales."""
+    try:
+        return scale_to_unit_range(ds, scales)
+    except ValueError as exc:
+        raise CliError(f"{path}: {exc}", EXIT_PRECONDITION) from exc
+
+
 def _load_model(path: str):
     text = _read_text(path)
     try:
@@ -148,13 +156,13 @@ def cmd_train(args) -> int:
     scales = None
     if args.normalize:
         scales = feature_scales(ds)
-        ds = scale_to_unit_range(ds, scales)
+        ds = _normalize(ds, scales, args.data)
     cs = _build_constraints(args, ds)
 
     if args.val_data:
         val = _load_dataset(args.val_data, dim=ds.dim)
         if args.normalize:
-            val = scale_to_unit_range(val, scales)
+            val = _normalize(val, scales, args.val_data)
         k = args.knn_k
 
         def val_fn(model, _train=ds, _val=val, _k=k):
@@ -182,8 +190,8 @@ def cmd_eval(args) -> int:
     test_ds = _load_dataset(args.test, dim=model.dim)
     if args.normalize:
         scales = feature_scales(train_ds)
-        train_ds = scale_to_unit_range(train_ds, scales)
-        test_ds = scale_to_unit_range(test_ds, scales)
+        train_ds = _normalize(train_ds, scales, args.train)
+        test_ds = _normalize(test_ds, scales, args.test)
     try:
         err = evaluation.knn_error(model, train_ds, test_ds, k=args.k)
     except ValueError as exc:

@@ -306,6 +306,8 @@ def link_triplets(
     (a, x3, b) with x3 from a's positively-linked neighbors. Links whose
     anchor has no usable neighbor of the needed sign are skipped.
     """
+    if per_link < 1:
+        raise ValueError("per_link must be >= 1")
     rng = rng or np.random.default_rng()
     links = link_array(links, len(samples)).tolist()
     nbrs: Dict[int, Dict[int, set]] = {1: {}, -1: {}}  # y -> point -> its y-linked points

@@ -6,8 +6,9 @@ from typing import Iterable, Set, Tuple
 
 import numpy as np
 
+from . import model as model_mod  # factorize, project_dataset: looked up per call
 from .constraints import link_array
-from .model import Model, factorize, project_dataset, to_csr_matrix
+from .model import Model, to_csr_matrix
 from .sparse_data import Dataset
 
 
@@ -63,9 +64,9 @@ def knn_error(model: Model, train: Dataset, test: Dataset, k: int = 3) -> float:
         raise ValueError("k must be at least 1")
     if k > len(train):
         raise ValueError("k exceeds the number of training points")
-    proj = factorize(model)
-    p_train_t = project_dataset(proj, train.to_csr()).T
-    p_test = project_dataset(proj, test.to_csr())
+    proj = model_mod.factorize(model)
+    p_train_t = model_mod.project_dataset(proj, train.to_csr()).T
+    p_test = model_mod.project_dataset(proj, test.to_csr())
     classes, label_idx = np.unique(train.labels, return_inverse=True)
     n_train = len(train)
     n_classes = classes.size
@@ -155,6 +156,6 @@ def link_auc(model: Model, samples: Dataset, test_links) -> float:
     links = link_array(test_links, len(samples))
     if links.size == 0:
         raise ValueError("empty link set")
-    proj = project_dataset(factorize(model), samples.to_csr())
+    proj = model_mod.project_dataset(model_mod.factorize(model), samples.to_csr())
     scores = np.einsum("ij,ij->i", proj[links[:, 0]], proj[links[:, 1]])
     return _auc_from_arrays(scores, links[:, 2] == 1)

@@ -9,6 +9,7 @@ for a fixed input order.
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -85,15 +86,14 @@ class ConstraintSet:
 
     `local` (T x 3) indexes each triplet's a, b, c into the n_used points
     some triplet references; those points are the rows of `P`, with `PT` =
-    P^T. pair_statistic (exact and mini-batch oracles), pair_inners and the
-    heuristic oracle's partner scores work from them. The one per-triplet
-    matrix is `XD` (T x d CSR), the rows x_a * (x_b - x_c) of _triplet_rows:
-    its column sums over the heuristic's active batch are that oracle's
-    diagonal. It is built in bands of TRIPLET_BAND triplets on map_blocks'
-    pool and joined in band order; every row is computed on its own, so
-    XD holds the same bits for any CPU count, and only one band's
-    transients are alive per worker. The constructor rejects non-finite
-    referenced point values.
+    P^T; pair_statistic, pair_inners and the heuristic's partner scores
+    work from them. The constructor builds only this view, after rejecting
+    non-finite point values. `XD` (T x d CSR), the rows x_a * (x_b - x_c)
+    of _triplet_rows, is built by its one reader, the heuristic oracle,
+    whose diagonal is XD's column sums over the active batch: at the first
+    read, in bands of TRIPLET_BAND triplets on map_blocks' pool, joined in
+    band order. Every row is computed on its own, so XD holds the same bits
+    for any CPU count, and only one band's transients are alive per worker.
 
     Form rules: P is dense when d <= DENSE_DIM_LIMIT and n_used*d <=
     DENSE_CELL_LIMIT, and CSR otherwise; the pair statistic H is a dense
@@ -125,14 +125,11 @@ class ConstraintSet:
         self.P = dataset.to_csr()[used]
         if not np.isfinite(self.P.data).all():
             raise ValueError("point values must be finite")
-        parts = map_blocks(self._xd_band, _bands(len(arr), TRIPLET_BAND))
-        self.XD: sp.csr_matrix = sp.vstack(parts, format="csr")
         # P is dense when d and n_used*d are small, where a BLAS product beats
         # sparse bookkeeping by a wide margin, and CSR otherwise
         if self.dim <= self.DENSE_DIM_LIMIT and used.size * self.dim <= self.DENSE_CELL_LIMIT:
             self.P = self.P.toarray()
         self.PT = _transpose(self.P)
-        self._full_pattern = None
         self._lock = threading.Lock()
 
     def __getstate__(self):
@@ -141,22 +138,30 @@ class ConstraintSet:
     def __setstate__(self, state):
         self.__dict__.update(state, _lock=threading.Lock())
 
-    def _triplet_rows(self, rows=slice(None)):
+    def _triplet_rows(self, rows=slice(None), P=None):
         """Anchor rows x_a and difference rows x_b - x_c (CSR, no stored
-        zeros) of the triplets `rows`, from the referenced points as CSR rows."""
-        P = sp.csr_matrix(self.P)
+        zeros) of the triplets `rows`, from P (default self.P) as CSR rows."""
+        P = sp.csr_matrix(self.P) if P is None else P
         a, b, c = self.local[rows].T
         D = P[b] - P[c]
         D.eliminate_zeros()
         return P[a], D
 
-    def _xd_band(self, rows):
+    @functools.cached_property
+    def XD(self) -> sp.csr_matrix:
+        P = sp.csr_matrix(self.P)
+        parts = map_blocks(lambda rows: self._xd_band(rows, P), _bands(len(self), TRIPLET_BAND))
+        return sp.vstack(parts, format="csr")
+
+    def _xd_band(self, rows, P):
         """The rows x_a * (x_b - x_c) of XD for the triplets `rows`, no
         stored zeros; every row is computed on its own."""
-        X, D = self._triplet_rows(rows)
+        X, D = self._triplet_rows(rows, P)
         XD = X.multiply(D)
         XD.eliminate_zeros()
         return XD
+
+    _full_pattern = functools.cached_property(lambda self: self._anchor_pattern(self.local))
 
     # built on each access, only for perfbench/tracer.py's pair-product counter
     X = property(lambda self: self._triplet_rows()[0])
@@ -181,11 +186,11 @@ class ConstraintSet:
         O(nnz(W) s) for W P and O(|u| s^2) (sparse P) or O(|u| d^2) (dense
         P) for the product with P_u^T. Without point reuse that is the work
         of the T outer products; with reuse, half that of P^T (W + W^T) P.
-        The full set builds W's pattern and P_u^T on its first call and
-        refills W after that; W keeps only its nonzero entries, so a g that
-        is zero on most rows (a change of the loss derivatives) costs what
-        its nonzero rows touch; a subset builds them over its active
-        (g_t != 0) triplets, so its cost follows those.
+        The full set builds W's pattern and P_u^T at its first call
+        (_full_pattern) and refills W after that; a subset builds them over
+        its active (g_t != 0) triplets. W always keeps only its nonzero
+        entries, so a g that is zero on most rows (a change of the loss
+        derivatives) costs what its nonzero rows touch.
 
         The result is a dense d x d array when d*d <= DENSE_CELL_LIMIT, and
         CSR otherwise. It is exactly symmetric. The dense result is the one
@@ -203,8 +208,6 @@ class ConstraintSet:
         """
         with self._lock:
             if subset is None:
-                if self._full_pattern is None:
-                    self._full_pattern = self._anchor_pattern(self.local)
                 W, indices, indptr, slot, PuT = self._full_pattern
             else:
                 active = subset[g[subset] != 0.0]
@@ -212,14 +215,10 @@ class ConstraintSet:
                 W, indices, indptr, slot, PuT = self._anchor_pattern(self.local[active])
             data = np.bincount(slot, weights=np.concatenate((g, -g)), minlength=indices.size)
             # W keeps its nonzero entries, assigned directly: a new matrix
-            # would cost more in format checks than W P does; with none zero
-            # it is the pattern itself
-            if data.all():
-                W.data, W.indices, W.indptr = data, indices, indptr
-            else:
-                keep = np.flatnonzero(data)
-                W.data, W.indices = data[keep], indices[keep]
-                W.indptr = np.searchsorted(keep, indptr).astype(indptr.dtype)
+            # would cost more in format checks than W P does
+            keep = np.flatnonzero(data)
+            W.data, W.indices = data[keep], indices[keep]
+            W.indptr = np.searchsorted(keep, indptr).astype(indptr.dtype)
             WP = W @ self.P
         d = self.dim
         if d * d > self.DENSE_CELL_LIMIT:

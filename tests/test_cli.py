@@ -186,6 +186,43 @@ class TestTrain:
         assert code == 4
 
 
+class TestNormalizeEmptyFile:
+    """--normalize on an empty data file exits 4 with an error line, through
+    the one normalization helper of train and eval; no model is written."""
+
+    @staticmethod
+    def assert_exit_4(code, capsys):
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "dataset is empty" in err
+        assert "Traceback" not in err
+
+    def test_train_data(self, tmp_path, capsys):
+        empty, out = tmp_path / "empty.svm", tmp_path / "m.hdsl"
+        empty.write_text("")
+        self.assert_exit_4(run(["train", "--data", empty, "--normalize", "--lambda", 5,
+                                "--out", out]), capsys)
+        assert not out.exists()
+
+    def test_train_val_data(self, tmp_path, labeled_file, capsys):
+        empty, out = tmp_path / "empty.svm", tmp_path / "m.hdsl"
+        empty.write_text("")
+        self.assert_exit_4(run(["train", "--data", labeled_file, "--normalize", "--val-data", empty,
+                                "--lambda", 5, "--iters", 10, "--out", out]), capsys)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("split", ["train", "test"])
+    def test_eval(self, tmp_path, labeled_file, split, capsys):
+        empty, model = tmp_path / "empty.svm", tmp_path / "m.hdsl"
+        empty.write_text("")
+        assert run(["train", "--data", labeled_file, "--lambda", 5, "--iters", 10,
+                    "--out", model]) == 0
+        capsys.readouterr()
+        files = {"train": labeled_file, "test": labeled_file, split: empty}
+        self.assert_exit_4(run(["eval", "--model", model, "--train", files["train"],
+                                "--test", files["test"], "--normalize"]), capsys)
+
+
 class TestEval:
     def test_eval_json(self, tmp_path, labeled_file, capsys):
         model = tmp_path / "m.hdsl"
@@ -327,6 +364,14 @@ class TestSynth:
         out_dir = tmp_path / "out"
         assert run([*protocol, "--seed", 1, "--out-dir", out_dir, "--run", *flags]) == code
         assert not out_dir.exists() or list(out_dir.iterdir()) == []
+
+    @pytest.mark.parametrize("per_link", [0, -1])
+    def test_link_per_link_below_one_exits_4_before_any_file(self, tmp_path, per_link, capsys):
+        out_dir = tmp_path / "out"
+        assert run([*LINK, "--per-link", per_link, "--seed", 1, "--out-dir", out_dir]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "per_link must be >= 1" in err
+        assert not out_dir.exists()
 
     def test_recovery_negative_patience_exits_4(self, tmp_path, capsys):
         code = run(["synth", "recovery", "--d", 40, "--bases", 5, "--n", 40,

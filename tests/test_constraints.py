@@ -249,6 +249,12 @@ class TestLinkTriplets:
         cs = link_triplets(ds, [(0, 1, 1), (2, 3, 1)], rng=np.random.default_rng(2))
         assert len(cs) == 0
 
+    @pytest.mark.parametrize("per_link", [0, -1])
+    def test_per_link_below_one_rejected(self, per_link):
+        ds = random_sparse_dataset(np.random.default_rng(15), 5, 6, max_nnz=3)
+        with pytest.raises(ValueError, match="per_link must be >= 1"):
+            link_triplets(ds, [(0, 1, 1), (0, 2, -1)], rng=np.random.default_rng(0), per_link=per_link)
+
     def test_seed_reproducibility(self):
         rng = np.random.default_rng(14)
         ds = random_sparse_dataset(rng, 8, 6, max_nnz=3)
@@ -458,6 +464,9 @@ class TestPooledBuilds:
         T = 2 * objective_mod.TRIPLET_BAND + 500  # three bands
         trips = random_triplets(rng, 60, T)
         sets = [self.on_cpus(monkeypatch, cpus, ConstraintSet, ds, trips) for cpus in self.CPUS]
+        assert pools[0] == 0  # the constructor builds no XD
+        for cpus, cs in zip(self.CPUS, sets):
+            self.on_cpus(monkeypatch, cpus, getattr, cs, "XD")
         # the unbanded product, as one band
         X, D = sets[0]._triplet_rows()
         whole = X.multiply(D)

@@ -447,6 +447,30 @@ class TestRecoveryAucsMatchReference:
             assert entry_recovery_auc(m, set(pairs)) == self.reference_entry_auc(m, pairs)
 
 
+class TestProjectionLookup:
+    """link_auc and knn_error look factorize and project_dataset up through
+    hdsl.model at each call, so a wrapper there sees their projections."""
+
+    def test_one_factorize_per_metric_call(self, monkeypatch):
+        import hdsl.model as model_mod
+
+        calls = {"factorize": 0, "project_dataset": 0}
+        for name in calls:
+            def counting(*args, _real=getattr(model_mod, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(model_mod, name, counting)
+        rng = np.random.default_rng(16)
+        samples = gen_uniform_sparse(40, 12, sparsity=0.3, rng=rng)
+        m = gen_truth(12, n_bases=4, rng=rng)
+        link_auc(m, samples, [(0, 1, 1), (2, 3, -1), (4, 5, 1)])
+        assert calls == {"factorize": 1, "project_dataset": 1}
+        labeled = Dataset.from_csr(samples.to_csr(), np.arange(40) % 2)
+        knn_error(m, labeled, labeled, k=3)
+        assert calls == {"factorize": 2, "project_dataset": 3}
+
+
 class TestLinkAuc:
     def test_truth_model_separates_links(self):
         rng = np.random.default_rng(9)

@@ -204,8 +204,8 @@ def integer_dataset(rng, n, dim, max_nnz=6):
 
 
 class TestOneView:
-    """The set stores the point view and XD only; XD and the on-demand X and D
-    equal the former triplet-view build bit for bit."""
+    """The set stores the point view, and XD once read; XD and the on-demand
+    X and D equal the former triplet-view build bit for bit."""
 
     @staticmethod
     def instances(seed):
@@ -246,10 +246,17 @@ class TestOneView:
         ds = random_dataset(rng, 10, 30)
         cs = random_constraints(rng, ds, 50)
         cs.pair_statistic(np.ones(len(cs)))  # fills the cached full pattern
+
+        def wide():
+            return {name for name, v in vars(cs).items()
+                    if sp.issparse(v) or (isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[1] != 3)}
+
+        # no T x d matrix before XD's first read
+        assert wide() == {"P", "PT"}
+        assert not any(getattr(v, "shape", None) == (len(cs), cs.dim) for v in vars(cs).values())
+        cs.XD
         assert "X" not in vars(cs) and "D" not in vars(cs)
-        wide = {name for name, v in vars(cs).items()
-                if sp.issparse(v) or (isinstance(v, np.ndarray) and v.ndim == 2 and v.shape[1] != 3)}
-        assert wide == {"XD", "P", "PT"}
+        assert wide() == {"XD", "P", "PT"}
         assert cs.P.shape[0] < len(cs) and cs.XD.shape[0] == len(cs)
 
     @pytest.mark.parametrize("sparse", [False, True])
@@ -314,8 +321,8 @@ class TestSingleWRule:
     @pytest.mark.parametrize("limit", [None, "DENSE_DIM_LIMIT"])
     @pytest.mark.parametrize("zero_share", [0.0, 0.5])
     def test_w_p_bit_equal_to_compacted_w(self, limit, zero_share, monkeypatch):
-        """With no zero entry the full-set W is its pattern itself, else it
-        is compacted; either way W P holds the bits of the compacted W's."""
+        """With or without a zero entry the full-set W is compacted, and W P
+        holds the bits of the compacted W's."""
         if limit is not None:
             monkeypatch.setattr(ConstraintSet, limit, 0)
         rng = np.random.default_rng(440)
@@ -328,7 +335,6 @@ class TestSingleWRule:
             W, indices, indptr, slot, _ = cs._full_pattern
             data = np.bincount(slot, weights=np.concatenate((g, -g)), minlength=indices.size)
             assert data.all() == (zero_share == 0.0)
-            assert (W.indices is indices) == (zero_share == 0.0)
             compact = sp.csr_matrix((data, indices, indptr), shape=W.shape)
             compact.eliminate_zeros()
             assert W.nnz == compact.nnz

@@ -1,4 +1,5 @@
 import importlib
+import pickle
 import threading
 import tracemalloc
 import weakref
@@ -36,6 +37,7 @@ from hdsl.solver import (
 from hdsl.sparse_data import Dataset, SparseVector
 
 from util import (
+    assert_same_csr,
     basis_score,
     batch_diag,
     brute_force_forward,
@@ -1431,6 +1433,57 @@ class TestTrain:
         state = solver_state(cs, random_model(rng, 8, 3, lam=1.0))
         with pytest.raises(ValueError):
             state.model.alpha[0] = 0.5
+
+
+class TestViewsOnFirstRead:
+    """XD is built by its first reader, the heuristic oracle: an exact or a
+    mini-batch solve never builds it, and a heuristic solve builds it once,
+    one _xd_band call per TRIPLET_BAND band. A set pickles before and after."""
+
+    @staticmethod
+    def instance(seed):
+        return random_instance(np.random.default_rng(seed), 30, T=200, n_points=40)
+
+    @pytest.mark.parametrize("oracle", ["exact", "minibatch"])
+    def test_exact_and_minibatch_never_build_xd(self, oracle):
+        cs = self.instance(460)
+        _, history = train(cs, SolverConfig(lam=5.0, max_iters=20, oracle=oracle, batch_size=50))
+        assert len(history) > 1
+        assert "XD" not in vars(cs)
+
+    def test_heuristic_builds_xd_once(self, monkeypatch):
+        monkeypatch.setattr(objective_mod, "TRIPLET_BAND", 64)
+        cs = self.instance(461)
+        calls, real = [], ConstraintSet._xd_band
+
+        def counting(*args):
+            calls.append(args[1])
+            return real(*args)
+
+        monkeypatch.setattr(ConstraintSet, "_xd_band", counting)
+        cfg = SolverConfig(lam=5.0, max_iters=20, oracle="heuristic", batch_size=50)
+        assert "XD" not in vars(cs)
+        _, history = train(cs, cfg)
+        assert len(history) > 1
+        assert calls == objective_mod._bands(len(cs), 64) and len(calls) == 4
+        XD = cs.XD
+        train(cs, cfg)
+        assert len(calls) == 4 and cs.XD is XD
+
+    def test_pickles_before_and_after_xd(self):
+        cs = self.instance(462)
+        g = np.random.default_rng(463).uniform(-1.0, 0.0, size=len(cs))
+        before = pickle.loads(pickle.dumps(cs))
+        assert "XD" not in vars(before)
+        XD = cs.XD
+        after = pickle.loads(pickle.dumps(cs))
+        assert "XD" in vars(after)
+        cfg = SolverConfig(lam=5.0, max_iters=20, oracle="heuristic", batch_size=50, seed=3)
+        want = serialize(train(cs, cfg)[0])
+        for copy in (before, after):
+            assert_same_csr(copy.XD, XD)
+            np.testing.assert_array_equal(copy.pair_statistic(g), cs.pair_statistic(g))
+            assert serialize(train(copy, cfg)[0]) == want
 
 
 class TestBounds:
