@@ -2,10 +2,12 @@
 
 Runs the exact solver on a random instance and prints, every few hundred
 iterations, the objective, the duality gap (a certificate of suboptimality),
-and the worst-case bound 16*L*lambda^2/(k+2). The gap and the actual
-suboptimality typically sit far below the bound. The excess-risk bound at
-the bottom shows the optimization/complexity trade-off in k that motivates
-early stopping: more iterations shrink the first term but grow the second.
+and the worst-case bound 16*L*lambda^2/(k+2). A lazy row, a step inside
+the active set taken without an oracle call, has no gap and shows `-`.
+The gap and the actual suboptimality typically sit far below the bound.
+The excess-risk bound at the bottom shows the optimization/complexity
+trade-off in k that motivates early stopping: more iterations shrink the
+first term but grow the second.
 """
 
 import argparse
@@ -50,7 +52,8 @@ def main():
     stride = max(1, len(history) // 12)
     for h in history[::stride] + [history[-1]]:
         bound = convergence_bound(args.lam, L, max(h["k"], 1))
-        print(f"{h['k']:>6} {h['objective']:>11.6f} {h['gap']:>11.2e} {bound:>17.3f} "
+        gap = "-" if h["gap"] is None else f"{h['gap']:.2e}"
+        print(f"{h['k']:>6} {h['objective']:>11.6f} {gap:>11} {bound:>17.3f} "
               f"{h['atoms']:>6} {h['step']:>5}")
     print(f"\nstopped after {len(history)} iterations; f(final) = {f_final:.8f}")
 

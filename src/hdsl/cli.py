@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -53,6 +54,15 @@ def _write_text(path: str, text: str) -> None:
         Path(path).write_text(text)
     except OSError as exc:
         raise CliError(f"cannot write {path}: {exc}", EXIT_IO) from exc
+
+
+def _check_outputs(*paths) -> None:
+    """Each given output's directory exists and is writable; checked before
+    any input is read, so a bad output path costs no work."""
+    for path in filter(None, paths):
+        parent = Path(path).parent
+        if not parent.is_dir() or not os.access(parent, os.W_OK):
+            raise CliError(f"cannot write {path}: {parent} is not a writable directory", EXIT_IO)
 
 
 def _out_dir(path: str) -> Path:
@@ -152,23 +162,22 @@ def cmd_train(args) -> int:
         raise CliError("--triplets FILE is required with --constraints file", EXIT_PRECONDITION)
     if args.dim is not None and args.dim < 2:
         raise CliError("--dim must be >= 2", EXIT_PRECONDITION)
+    _check_outputs(args.out, args.history)
     ds = _load_dataset(args.data, dim=args.dim)
-    scales = None
+    val = _load_dataset(args.val_data, dim=ds.dim) if args.val_data else None
+    if val is not None and len(val) == 0:
+        raise CliError(f"{args.val_data}: dataset is empty", EXIT_PRECONDITION)
     if args.normalize:
         scales = feature_scales(ds)
         ds = _normalize(ds, scales, args.data)
-    cs = _build_constraints(args, ds)
-
-    if args.val_data:
-        val = _load_dataset(args.val_data, dim=ds.dim)
-        if args.normalize:
+        if val is not None:
             val = _normalize(val, scales, args.val_data)
-        k = args.knn_k
-
-        def val_fn(model, _train=ds, _val=val, _k=k):
+    if val is not None:
+        def val_fn(model, _train=ds, _val=val, _k=args.knn_k):
             return -evaluation.knn_error(model, _train, _val, k=_k)
 
         cfg = replace(cfg, val_fn=val_fn)
+    cs = _build_constraints(args, ds)
     model, history = _solve(cs, cfg)
     _write_text(args.out, serialize(model))
     if args.history:
@@ -176,6 +185,9 @@ def cmd_train(args) -> int:
     print(json.dumps({
         "iterations": len(history),
         "objective": history[-1]["objective"] if history else None,
+        # the last row's gap, and the rows whose oracle ran (a lazy row's gap is None)
+        "gap": history[-1]["gap"] if history else None,
+        "oracle_calls": sum(row["gap"] is not None for row in history),
         "atoms": model.n_atoms,
         "features": len(model.feature_set()),
         "model": args.out,

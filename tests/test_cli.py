@@ -68,6 +68,24 @@ class TestTrain:
         for row in rows:
             assert {"k", "objective", "gap", "step", "gamma", "atoms", "features"} <= set(row)
             assert row["step"] in ("F", "A")
+        # the summary: the last row's certified gap, and the rows whose
+        # oracle ran; a lazy row's gap is null
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["iterations"] == len(rows)
+        assert summary["gap"] == rows[-1]["gap"] is not None
+        assert summary["oracle_calls"] == sum(row["gap"] is not None for row in rows)
+
+    def test_summary_counts_lazy_rows_out(self, tmp_path, labeled_file, capsys):
+        hist = tmp_path / "h.jsonl"
+        code = run(["train", "--data", labeled_file, "--lambda", 1, "--iters", 30,
+                    "--gap-tol", 0, "--out", tmp_path / "m.hdsl", "--history", hist])
+        assert code == 0
+        rows = [json.loads(line) for line in hist.read_text().splitlines()]
+        summary = json.loads(capsys.readouterr().out)
+        lazy = [row for row in rows if row["gap"] is None]
+        assert lazy and all("stat_rows" not in row for row in lazy)
+        assert summary["oracle_calls"] == len(rows) - len(lazy) > 0
+        assert summary["gap"] == rows[-1]["gap"] is not None
 
     def test_constraint_file_round_trip(self, tmp_path, labeled_file, capsys):
         trip = tmp_path / "t.txt"
@@ -155,6 +173,7 @@ class TestTrain:
         assert code == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["iterations"] == 0 and summary["objective"] is None
+        assert summary["gap"] is None and summary["oracle_calls"] == 0
         assert deserialize((tmp_path / "m.hdsl").read_text()).n_atoms == 1
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
@@ -184,6 +203,61 @@ class TestTrain:
         code = run(["train", "--data", data, "--constraints", "random-label",
                     "--lambda", 1, "--out", tmp_path / "m.hdsl"])
         assert code == 4
+
+
+class TestChecksBeforeWork:
+    """train checks its outputs' directories before it reads any data, and
+    reads and checks --val-data before it builds constraints."""
+
+    @pytest.fixture
+    def no_build(self, monkeypatch):
+        import hdsl.cli as cli
+
+        def fail(*args):
+            raise AssertionError("constraints built")
+
+        monkeypatch.setattr(cli, "_build_constraints", fail)
+
+    @pytest.fixture
+    def no_work(self, monkeypatch):
+        import hdsl.cli as cli
+
+        def fail(*args, **kwargs):
+            raise AssertionError("data read or solved")
+
+        monkeypatch.setattr(cli, "_load_dataset", fail)
+        monkeypatch.setattr(cli, "_solve", fail)
+
+    @pytest.mark.parametrize("normalize", [[], ["--normalize"]])
+    def test_empty_val_data_exits_4(self, tmp_path, labeled_file, normalize, no_build, capsys):
+        empty, out = tmp_path / "empty.svm", tmp_path / "m.hdsl"
+        empty.write_text("")
+        code = run(["train", "--data", labeled_file, *normalize, "--val-data", empty,
+                    "--lambda", 5, "--iters", 10, "--out", out])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert err == f"error: {empty}: dataset is empty\n"
+        assert not out.exists()
+
+    def test_absent_val_data_exits_3(self, tmp_path, labeled_file, no_build, capsys):
+        out = tmp_path / "m.hdsl"
+        code = run(["train", "--data", labeled_file, "--val-data", tmp_path / "absent.svm",
+                    "--lambda", 5, "--iters", 10, "--out", out])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: cannot read") and err.count("\n") == 1
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad", ["out", "history"])
+    def test_missing_output_dir_exits_3(self, tmp_path, labeled_file, bad, no_work, capsys):
+        paths = {"out": tmp_path / "m.hdsl", "history": tmp_path / "h.jsonl"}
+        paths[bad] = tmp_path / "absent" / paths[bad].name
+        code = run(["train", "--data", labeled_file, "--lambda", 5, "--iters", 10,
+                    "--out", paths["out"], "--history", paths["history"]])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {paths[bad]}") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [labeled_file]
 
 
 class TestNormalizeEmptyFile:

@@ -7,8 +7,11 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import hdsl.solver as solver_mod
+from hdsl.constraints import truth_triplets
 from hdsl.model import NEG, POS, BasisId, Model, basis_order, serialize
 from hdsl.objective import ConstraintSet, MarginCache, init_cache, objective, smoothed_hinge_deriv
 from hdsl.solver import (
@@ -35,6 +38,7 @@ from hdsl.solver import (
     _partner_scores,
 )
 from hdsl.sparse_data import Dataset, SparseVector
+from hdsl.synthetic import gen_truth, gen_uniform_sparse
 
 from util import (
     assert_same_csr,
@@ -42,6 +46,8 @@ from util import (
     batch_diag,
     brute_force_forward,
     dense_gradient,
+    dense_margins,
+    dense_model_matrix,
     dense_triplet_rows,
     random_instance,
     random_model,
@@ -305,7 +311,7 @@ class TestRunningStatistic:
         def corrupting(cs, cache, subset=None):
             acc = exact_accumulate(cs, cache, subset)
             calls.append(1)
-            if len(calls) == 6:  # iteration 4: after its H was read
+            if len(calls) == 5:  # iteration 4: after its H was read
                 H = cache.statistic[1]
                 if sparse:
                     H.data[0] += 1.0
@@ -317,7 +323,8 @@ class TestRunningStatistic:
         cs = random_instance(np.random.default_rng(86), 15, T=40)
         with pytest.raises(RuntimeError, match="pair statistic drifted"):
             train(cs, SolverConfig(lam=2.0, max_iters=35, gap_tol=0.0))
-        assert len(calls) == 6  # the start, then iterations 0-4
+        # the start, then iterations 0, 1, 3 and 4: iteration 2 is lazy
+        assert len(calls) == 5
 
     def test_recompute_replaces_running_with_fresh(self):
         rng = np.random.default_rng(93)
@@ -348,13 +355,18 @@ class TestRunningStatistic:
         monkeypatch.setattr(solver_mod, "gradient_accumulate", tracking)
         cs = random_instance(np.random.default_rng(87), 15, T=40)
         _, history = train(cs, SolverConfig(lam=2.0, max_iters=20, gap_tol=0.0))
-        assert len(refs) == len(history) + 1 > 2  # the start, then each iteration
+        # the start, then each iteration that ran the oracle
+        oracle_rows = sum(h["gap"] is not None for h in history)
+        assert len(refs) == oracle_rows + 1 > 2
 
     def test_history_reports_rows_and_drift(self, monkeypatch):
         monkeypatch.setattr(solver_mod, "RECOMPUTE_EVERY", 10)
         cs = random_instance(np.random.default_rng(86), 15, T=40)
         _, history = train(cs, SolverConfig(lam=2.0, max_iters=35, gap_tol=0.0))
-        assert all(0 <= h["stat_rows"] <= len(cs) for h in history)
+        # stat_rows on exactly the rows whose oracle ran, and some rows are lazy
+        assert all(("stat_rows" in h) == (h["gap"] is not None) for h in history)
+        assert any(h["gap"] is None for h in history)
+        assert all(0 <= h["stat_rows"] <= len(cs) for h in history if "stat_rows" in h)
         drifts = {h["k"]: h["stat_drift"] for h in history if "stat_drift" in h}
         assert sorted(drifts) == [10, 20, 30]
         assert all(0.0 <= v <= 1e-12 for v in drifts.values())
@@ -1241,8 +1253,106 @@ class TestGapCertifiesSuboptimality:
         model_ref, _ = train(cs, SolverConfig(lam=lam, max_iters=20000, gap_tol=0.0))
         f_star = objective(init_cache(cs, model_ref))
         _, hist = train(cs, SolverConfig(lam=lam, max_iters=300, gap_tol=0.0))
-        for h in hist:
+        certified = [h for h in hist if h["gap"] is not None]
+        for h in certified:
             assert h["gap"] >= h["objective"] - f_star - 1e-8
+        # the last row is certified, and a lazy row carries no gap
+        assert hist[-1]["gap"] is not None and len(certified) < len(hist)
+
+
+def recording_lazy(steps):
+    """lazy_direction, appending (model, threshold, direction) to `steps`
+    for every step it takes."""
+    lazy = solver_mod.lazy_direction
+
+    def recorded(state, threshold):
+        d = lazy(state, threshold)
+        if d is not None:
+            steps.append((state.model, threshold, d))
+        return d
+
+    return recorded
+
+
+class TestLazyRule:
+    """An exact solve steps inside the active set, with no oracle call,
+    while the better active step gains at least the last certified gap /
+    LAZY_KAPPA; such a row has no gap, and every row that can end a run has
+    one."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(4, 10), T=st.integers(8, 50),
+           lam=st.floats(0.5, 10.0), iters=st.integers(1, 60), eval_every=st.integers(1, 8),
+           patience=st.one_of(st.none(), st.integers(1, 4)))
+    def test_lazy_steps_gain_their_share(self, seed, dim, T, lam, iters, eval_every, patience):
+        cs = random_instance(np.random.default_rng(seed), dim, T=T)
+        val = {} if patience is None else dict(
+            val_fn=lambda m: -float(m.n_atoms), eval_every=eval_every, patience=patience)
+        steps = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_mod, "lazy_direction", recording_lazy(steps))
+            _, hist = train(cs, SolverConfig(lam=lam, max_iters=iters, gap_tol=0.0, **val))
+        assert hist[-1]["gap"] is not None
+        assert all(h["gap"] is not None for h in hist if "val_metric" in h)
+        assert sum(h["gap"] is None for h in hist) == len(steps)
+        phi, lazy_steps = 0.0, iter(steps)
+        for h in hist:
+            if h["gap"] is not None:
+                phi = h["gap"]
+                continue
+            model, threshold, d = next(lazy_steps)
+            assert phi > 0.0 and threshold == phi / solver_mod.LAZY_KAPPA
+            assert "stat_rows" not in h and h["step"] == d.kind
+            assert d.basis in model.atoms
+            # the step's gain from scratch: dense margins, gradient and <M, grad f>
+            grad = dense_gradient(cs, dense_margins(cs, model))
+            gm = float(np.sum(dense_model_matrix(model) * grad))
+            score = basis_score(grad, d.basis, lam)
+            gain = gm - score if d.kind == "F" else score - gm
+            assert gain >= threshold - 1e-12 * max(1.0, abs(gm))
+
+    @pytest.mark.parametrize("oracle", ["minibatch", "heuristic"])
+    def test_sampled_oracles_are_never_lazy(self, oracle, monkeypatch):
+        def refuse(state, threshold):
+            raise AssertionError("lazy step on a sampled oracle")
+
+        monkeypatch.setattr(solver_mod, "lazy_direction", refuse)
+        cs = random_instance(np.random.default_rng(88), 15, T=40)
+        cfg = SolverConfig(lam=2.0, max_iters=200, oracle=oracle, batch_size=10, gap_tol=0.0)
+        _, hist = train(cs, cfg)
+        assert len(hist) == 200 and all(h["gap"] is not None for h in hist)
+
+    def test_no_active_gain_keeps_the_eager_bits(self, monkeypatch):
+        # recovery-exact's regime at a smaller size: every oracle pick is a
+        # new atom and no active atom reaches phi / LAZY_KAPPA, so the model
+        # equals that of a hand-rolled eager loop bit for bit
+        rng = np.random.default_rng(0)
+        truth = gen_truth(600, n_bases=10, rng=rng, lam=1.0)
+        samples = gen_uniform_sparse(300, 600, sparsity=0.02, rng=rng)
+        cs = truth_triplets(samples, truth, alpha=0.1, count=1500, rng=rng)
+        lam, iters = 100.0, 4
+        tried, lazy = [], solver_mod.lazy_direction
+
+        def recorded(state, threshold):
+            tried.append(lazy(state, threshold))
+            return tried[-1]
+
+        monkeypatch.setattr(solver_mod, "lazy_direction", recorded)
+        model, hist = train(cs, SolverConfig(lam=lam, max_iters=iters, gap_tol=0.0))
+        # iteration 0 has no certified gap yet and iteration 3 is the last
+        assert tried == [None, None] and all(h["gap"] is not None for h in hist)
+
+        state = SolverState.from_model(cs, Model(lam, cs.dim, {BasisId(0, 1, POS): 1.0}))
+        apply_step(state, forward_exact(gradient_accumulate(cs, state.cache), lam, cs.dim, cs=cs),
+                   1.0)
+        for _ in range(iters):
+            acc = gradient_accumulate(cs, state.cache)
+            fwd = forward_exact(acc, lam, cs.dim, cs=cs)
+            g = state.cache.derivs()
+            fwd.score = float(g[fwd.inner_rows] @ fwd.inner_vals) / state.cache.count
+            chosen = choose_direction(fwd, away_direction(state, acc), state.cache)
+            apply_step(state, chosen, line_search(state.cache, chosen))
+        assert serialize(model) == serialize(state.model)
 
 
 class TestTrain:
