@@ -65,6 +65,16 @@ def _check_outputs(*paths) -> None:
             raise CliError(f"cannot write {path}: {parent} is not a writable directory", EXIT_IO)
 
 
+def _check_out_dir(path: str) -> None:
+    """--out-dir is a writable directory or can be made as one: its nearest
+    existing ancestor is a writable directory. Checked before any work; the
+    directory is made only when the files are written (_out_dir)."""
+    out = Path(path)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir() or not os.access(existing, os.W_OK):
+        raise CliError(f"cannot create {out}: {existing} is not a writable directory", EXIT_IO)
+
+
 def _out_dir(path: str) -> Path:
     out = Path(path)
     try:
@@ -219,6 +229,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_project(args) -> int:
+    _check_outputs(args.out)
     model = _load_model(args.model)
     ds = _load_dataset(args.data, dim=model.dim)
     proj = factorize(model)
@@ -229,14 +240,16 @@ def cmd_project(args) -> int:
 
 
 def _run_synth(args, generate) -> int:
-    """The synth protocols' one flow: check the flags, generate, write the
-    data files, then with --run train and write the model, history and
-    metrics. `generate(rng)` returns (files, cs, val_fn, report, summary):
-    the data files as {name: text}, the constraint set, the validation
-    hook, a callback from the trained model to (metrics, details), and the
-    summary printed to stdout. The metrics join the summary; the details
-    go to metrics.json only. --patience 0 means never stop."""
+    """The synth protocols' one flow: check the flags and that --out-dir can
+    be made, generate, write the data files, then with --run train and
+    write the model, history and metrics. `generate(rng)` returns (files,
+    cs, val_fn, report, summary): the data files as {name: text}, the
+    constraint set, the validation hook, a callback from the trained model
+    to (metrics, details), and the summary printed to stdout. The metrics
+    join the summary; the details go to metrics.json only. --patience 0
+    means never stop."""
     cfg = _solver_config(args, patience=args.patience or 10**9) if args.run else None
+    _check_out_dir(args.out_dir)
     try:
         files, cs, val_fn, report, summary = generate(np.random.default_rng(args.seed))
     except ValueError as exc:

@@ -56,11 +56,20 @@ class Model:
         bases = _bases_array(list(atoms), dim)
         alpha = np.fromiter(atoms.values(), dtype=np.float64, count=len(atoms))
         self._adopt(lam, dim, bases, alpha)
+        self.check_invariants()
 
     @classmethod
     def from_arrays(cls, lam: float, dim: int, bases: np.ndarray, alpha: np.ndarray) -> "Model":
         """A Model over `bases` and `alpha` themselves, not copies; they
         become read-only, so no later write can change this model."""
+        model = cls._trusted(lam, dim, bases, alpha)
+        model.check_invariants()
+        return model
+
+    @classmethod
+    def _trusted(cls, lam: float, dim: int, bases: np.ndarray, alpha: np.ndarray) -> "Model":
+        """from_arrays without check_invariants, for the solver's step,
+        whose arrays hold every invariant by construction (apply_step)."""
         model = cls.__new__(cls)
         model._adopt(lam, dim, bases, alpha)
         return model
@@ -69,7 +78,6 @@ class Model:
         self.lam, self.dim = float(lam), int(dim)
         self.bases, self.alpha = bases, alpha
         bases.flags.writeable = alpha.flags.writeable = False
-        self.check_invariants()
 
     def check_invariants(self) -> None:
         """Raise ValueError unless lambda is positive and finite and every

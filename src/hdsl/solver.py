@@ -86,6 +86,9 @@ class Direction:
     score - <M, grad f> for forward moves and <M, grad f> - score for away
     moves. `inner_rows`/`inner_vals` hold the per-constraint <A^t, B> values
     (sparse, full constraint set) used for cache updates and line search.
+    `atom` is the basis's row in the atoms (and in SolverState.A) of the
+    model the direction was built from, when it is an active atom
+    (_atom_direction); apply_step then needs no search for it.
     """
 
     kind: str  # "F" | "A"
@@ -94,6 +97,7 @@ class Direction:
     score: float
     inner_rows: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     inner_vals: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    atom: Optional[int] = None
 
 
 class GradientAccumulators:
@@ -347,6 +351,10 @@ def forward_heuristic(
     j1 = int(np.argmin(scores1))
     scores2, h2 = _partner_scores(cs, tri, g_active, count, lam, j1, diag)
     j2 = int(np.argmin(scores2))
+    if j2 == j1:
+        # j1's own score is inf, so it is the pick only when no partner
+        # scores below inf: there is no basis (i < j) to build
+        raise RuntimeError(f"every partner of feature {j1} scores inf or NaN")
 
     basis = BasisId(min(j1, j2), max(j1, j2), NEG if h2[j2] > 0 else POS)
     rows, vals = cs.pair_inners(basis.i, basis.j, basis.sign, lam)
@@ -362,14 +370,16 @@ def _active_scores(state: "SolverState") -> np.ndarray:
 
 def _atom_direction(state: "SolverState", kind: str, k: int, score: float) -> Direction:
     """The move toward ("F") or away from ("A") active atom k, with A's row k
-    as its inner products. gamma_max is 1 forward, alpha/(1-alpha) away, and
-    0 away from a single-atom model, which cannot take an away step."""
+    as its inner products and k as its atom. gamma_max is 1 forward,
+    alpha/(1-alpha) away, and 0 away from a single-atom model, which cannot
+    take an away step."""
     m = state.model
     alpha = float(m.alpha[k])
     gamma_max = 1.0 if kind == "F" else 0.0 if m.n_atoms == 1 else alpha / (1.0 - alpha)
     row = slice(*state.A.indptr[k : k + 2])
     basis = BasisId._make(m.bases[k].tolist())
-    return Direction(kind, basis, gamma_max, float(score), state.A.indices[row], state.A.data[row])
+    return Direction(kind, basis, gamma_max, float(score), state.A.indices[row], state.A.data[row],
+                     k)
 
 
 def away_direction(state: "SolverState", acc: Optional[GradientAccumulators] = None) -> Direction:
@@ -425,7 +435,8 @@ def line_search(cache: MarginCache, d: Direction) -> float:
     Otherwise Newton steps run inside the bracket [lo, hi] (bisecting when a
     step leaves it), and a Newton point is the root once no row changes
     piece between it and the point it came from. A bracket of adjacent
-    floats returns lo. Each evaluation is O(T).
+    floats returns lo. phi'(0) reads cache.derivs(), the same floats as
+    clip(m + 0*u - 1); each later evaluation is O(T) into one reused buffer.
     """
     gmax = d.gamma_max
     if gmax <= 0:
@@ -434,20 +445,28 @@ def line_search(cache: MarginCache, d: Direction) -> float:
     b = np.zeros(m.size)
     b[d.inner_rows] = d.inner_vals
     u = b - m if d.kind == "F" else m - b
-    u2 = u * u
+    ld = b  # b is not read again: its buffer holds l' from here on
 
-    def deriv(gamma: float):
-        # T*phi'(gamma), T*phi''(gamma) and each row's piece: 0 where the
-        # loss is linear, 1 where quadratic, 2 where zero
-        ld = np.clip(m + gamma * u - 1.0, -1.0, 0.0)
-        quad = (ld > -1.0) & (ld < 0.0)
-        return float(ld @ u), float(u2 @ quad), quad + 2 * (ld == 0.0)
+    def deriv(gamma: float) -> float:
+        # T*phi'(gamma), leaving l'(m + gamma*u) in ld
+        np.multiply(u, gamma, out=ld)
+        np.add(m, ld, out=ld)
+        np.subtract(ld, 1.0, out=ld)
+        return float(ld.clip(-1.0, 0.0, out=ld) @ u)
 
-    dphi, curv, piece = deriv(0.0)
+    def pieces(lp: np.ndarray):
+        # the rows where the loss is quadratic, and where it is zero
+        return (lp > -1.0) & (lp < 0.0), lp == 0.0
+
+    ld0 = cache.derivs()
+    dphi = float(ld0 @ u)
     if dphi >= 0.0:
         return 0.0
-    if deriv(gmax)[0] <= 0.0:
+    if deriv(gmax) <= 0.0:
         return gmax
+    u2 = u * u
+    quad, zero = pieces(ld0)
+    curv = float(u2 @ quad)
     lo, hi, gamma = 0.0, gmax, 0.0
     while True:
         # a piece with zero curvature has no Newton point: bisect
@@ -455,14 +474,17 @@ def line_search(cache: MarginCache, d: Direction) -> float:
         nxt = newton if lo < newton < hi else 0.5 * (lo + hi)
         if not lo < nxt < hi:
             return lo
-        dphi_n, curv, piece_n = deriv(nxt)
-        if dphi_n == 0.0 or (nxt == newton and np.array_equal(piece, piece_n)):
+        dphi_n = deriv(nxt)
+        if dphi_n == 0.0:
+            return nxt
+        quad_n, zero_n = pieces(ld)
+        if nxt == newton and np.array_equal(quad, quad_n) and np.array_equal(zero, zero_n):
             return nxt
         if dphi_n < 0.0:
             lo = nxt
         else:
             hi = nxt
-        gamma, dphi, piece = nxt, dphi_n, piece_n
+        gamma, dphi, curv, quad, zero = nxt, dphi_n, float(u2 @ quad_n), quad_n, zero_n
 
 
 @dataclass
@@ -500,40 +522,47 @@ def apply_step(state: SolverState, d: Direction, gamma: float) -> None:
     """Update the model and the margins for one accepted step.
 
     One signed step s (gamma forward, -gamma away) scales every weight by
-    (1 - s) and adds s on the chosen basis; a forward basis that is not
-    active is appended, an away basis must be active. Weights
-    at or below the drop tolerance are removed and the rest renormalized by
-    their sum in atom order, into a new `state.model`.
+    (1 - s) and adds s on the chosen basis: atom `d.atom` when the
+    direction carries it, else the active atom equal to `d.basis`, found by
+    search; a forward basis that is not active is appended, an away basis
+    must be active. Weights at or below the drop tolerance are removed and
+    the rest renormalized by their sum in atom order, into a new
+    `state.model`. That model is not re-checked: i < j and the sign come
+    from the oracle or the atom's own row, the search rules out a
+    duplicate, the drop tolerance keeps every weight positive, and the
+    renormalization makes them sum to 1.
     """
     if not 0 <= gamma <= d.gamma_max * (1 + 1e-12) + 1e-15:
         raise ValueError(f"gamma {gamma} outside [0, {d.gamma_max}]")
     m = state.model
-    bases = m.bases
-    hit = np.flatnonzero((bases == d.basis).all(axis=1))
-    if d.kind == "A" and not hit.size:
-        raise ValueError(f"away step from {d.basis}, which is not an active atom")
+    bases, k = m.bases, d.atom
+    if k is None:
+        hit = np.flatnonzero((bases == d.basis).all(axis=1))
+        if d.kind == "A" and not hit.size:
+            raise ValueError(f"away step from {d.basis}, which is not an active atom")
+        k = int(hit[0]) if hit.size else None
     # rejects a kind other than "F" and "A" before any weight changes
     update_cache_sparse(state.cache, d.kind, gamma, d.inner_rows, d.inner_vals)
     # one signed step: s = gamma toward d.basis (forward), -gamma away from it
     s = gamma if d.kind == "F" else -gamma
     alpha = m.alpha * (1.0 - s)
-    if hit.size:
-        alpha[hit[0]] += s
+    if k is not None:
+        alpha[k] += s
     else:
         alpha = np.append(alpha, s)
         bases = np.vstack([bases, d.basis])
         state.A = _append_row(state.A, d.inner_rows, d.inner_vals)
 
     keep = alpha > ATOM_DROP_TOL
-    if not keep.any():
-        raise RuntimeError("all atoms removed; step bookkeeping is inconsistent")
     if not keep.all():
+        if not keep.any():
+            raise RuntimeError("all atoms removed; step bookkeeping is inconsistent")
         alpha, bases = alpha[keep], bases[keep]
         state.A = state.A[keep]
     total = sum(alpha.tolist())
     if total != 1.0:
         alpha /= total
-    state.model = Model.from_arrays(m.lam, m.dim, bases, alpha)
+    state.model = Model._trusted(m.lam, m.dim, bases, alpha)
 
 
 def fw_gap(state: SolverState, fwd: Direction) -> float:
@@ -594,7 +623,9 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
     stat_rows. Stops on max_iters, on an exact gap <= gap_tol or
     within its rounding error, or when the validation metric has not
     improved for `patience` evaluations; with a validation hook the
-    best-scoring snapshot is returned.
+    best-scoring snapshot is returned. Steps build their models unchecked
+    (apply_step); Model.check_invariants runs at each RECOMPUTE_EVERY
+    recompute and on the returned model.
     """
     if len(cs) == 0:
         raise ValueError("empty constraint set")
@@ -621,6 +652,7 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
                 raise RuntimeError(f"margin cache drifted by {drift:.3e} at iteration {k}")
             state.cache.margins = fresh
             stat_drift = _statistic_drift(cs, state.cache, k)
+            state.model.check_invariants()
 
         # a validating or last iteration always runs the oracle, so every
         # row that can end a run carries a certified gap
@@ -671,9 +703,11 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
         if cfg.val_fn is not None and stale_evals >= cfg.patience:
             break
 
-    if best_model is not None and float(cfg.val_fn(state.model)) <= best_val:
-        return best_model, history
-    return state.model, history
+    model = state.model
+    if best_model is not None and float(cfg.val_fn(model)) <= best_val:
+        model = best_model
+    model.check_invariants()
+    return model, history
 
 
 def lipschitz_constant(cs: ConstraintSet) -> float:

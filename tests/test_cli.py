@@ -29,6 +29,11 @@ def run(args):
     return main([str(a) for a in args])
 
 
+RECOVERY = ["synth", "recovery", "--d", 40, "--bases", 5, "--n", 40, "--triplets", 100]
+LINK = ["synth", "link", "--d", 300, "--n", 60, "--links", 90, "--per-link", 2,
+        "--bases", 10, "--avg-sparsity", 0.06]
+
+
 class TestTrain:
     def test_deterministic_model_file(self, tmp_path, labeled_file, capsys):
         outs = []
@@ -206,8 +211,14 @@ class TestTrain:
 
 
 class TestChecksBeforeWork:
-    """train checks its outputs' directories before it reads any data, and
-    reads and checks --val-data before it builds constraints."""
+    """train and project check their outputs' directories before they read
+    any input, and synth checks that --out-dir can be made before it
+    generates any data; train reads and checks --val-data before it builds
+    constraints."""
+
+    @staticmethod
+    def refuse(*args, **kwargs):
+        raise AssertionError("work done before the output check")
 
     @pytest.fixture
     def no_build(self, monkeypatch):
@@ -258,6 +269,38 @@ class TestChecksBeforeWork:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {paths[bad]}") and err.count("\n") == 1
         assert list(tmp_path.iterdir()) == [labeled_file]
+
+    def test_project_missing_output_dir_exits_3(self, tmp_path, labeled_file, monkeypatch, capsys):
+        import hdsl.cli as cli
+
+        for name in ("_load_model", "_load_dataset", "factorize"):
+            monkeypatch.setattr(cli, name, self.refuse)
+        model = tmp_path / "m.hdsl"
+        model.write_text("hdsl-model 1\nlambda 2 dim 20\nP 0 4 1\n")
+        out = tmp_path / "absent" / "p.svm"
+        code = run(["project", "--model", model, "--data", labeled_file, "--out", out])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}") and err.count("\n") == 1
+        assert sorted(tmp_path.iterdir()) == sorted([labeled_file, model])
+
+    @pytest.mark.parametrize("protocol", [RECOVERY, LINK], ids=["recovery", "link"])
+    @pytest.mark.parametrize("inside", [False, True], ids=["is-a-file", "under-a-file"])
+    def test_synth_out_dir_that_cannot_be_made_exits_3(self, tmp_path, protocol, inside,
+                                                       monkeypatch, capsys):
+        import hdsl.synthetic as synthetic
+
+        for name in ("gen_truth", "gen_uniform_sparse", "gen_powerlaw_sparse",
+                     "gen_truth_frequent", "gen_links"):
+            monkeypatch.setattr(synthetic, name, self.refuse)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out_dir = blocker / "out" if inside else blocker
+        code = run([*protocol, "--seed", 1, "--out-dir", out_dir, "--run", "--lambda", 10])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot create {out_dir}") and err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == [blocker] and blocker.read_text() == ""
 
 
 class TestNormalizeEmptyFile:
@@ -358,11 +401,6 @@ class TestProject:
         proj_path = tmp_path / "p2.svm"
         assert run(["project", "--model", model_path, "--data", data, "--out", proj_path]) == 0
         assert proj_path.read_text() == ""
-
-
-RECOVERY = ["synth", "recovery", "--d", 40, "--bases", 5, "--n", 40, "--triplets", 100]
-LINK = ["synth", "link", "--d", 300, "--n", 60, "--links", 90, "--per-link", 2,
-        "--bases", 10, "--avg-sparsity", 0.06]
 
 
 class TestSynth:

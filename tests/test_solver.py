@@ -29,9 +29,11 @@ from hdsl.solver import (
     forward_minibatch,
     fw_gap,
     gradient_accumulate,
+    lazy_direction,
     line_search,
     lipschitz_constant,
     train,
+    _atom_direction,
     _gap_rounding,
     _gap_rounding_cap,
     _lex_min_candidate,
@@ -57,6 +59,7 @@ from util import (
     reference_away_pick,
     reference_forward_exact_dense,
     reference_forward_heuristic,
+    reference_line_search,
     reference_lipschitz,
     reference_partner_scores,
     solver_state,
@@ -668,6 +671,19 @@ class TestForwardHeuristic:
         assert d.basis == expected_basis
         assert d.score == pytest.approx(expected_score, abs=1e-12)
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    def test_no_partner_below_inf_raises(self, value, monkeypatch):
+        # all-inf or all-NaN scores put both stages' argmin on feature 0,
+        # which would make the basis (0, 0)
+        def no_partner(cs, tri, g, count, lam, i, diag):
+            return np.full(cs.dim, value), np.zeros(cs.dim)
+
+        monkeypatch.setattr(solver_mod, "_partner_scores", no_partner)
+        cs = random_instance(np.random.default_rng(90), 8, T=20)
+        cache = MarginCache(np.zeros(len(cs)))
+        with pytest.raises(RuntimeError, match="scores inf or NaN"):
+            forward_heuristic(cs, cache, 10, np.random.default_rng(0), 1.0, cs.dim)
+
     def test_all_zero_gradient(self):
         ds = Dataset([sv([(0, 1.0)], 5), sv([(1, 1.0)], 5), sv([(2, 1.0)], 5)])
         cs = ConstraintSet(ds, np.array([[0, 1, 2]]))
@@ -837,6 +853,29 @@ class TestMillionFeatures:
         model, hist = train(cs, cfg)
         assert len(hist) == 20
         model.check_invariants()
+
+
+class TestOraclesPickUpperPairs:
+    """apply_step builds its models unchecked, so every basis an oracle or
+    the lazy rule hands it must already have 0 <= i < j < d."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(3, 12), T=st.integers(1, 40),
+           n_atoms=st.integers(1, 5), lam=st.floats(0.1, 10.0))
+    def test_forward_and_lazy_bases_are_upper(self, seed, dim, T, n_atoms, lam):
+        rng = np.random.default_rng(seed)
+        cs = random_instance(rng, dim, T=T)
+        model = random_model(rng, dim, n_atoms, lam=lam)
+        state = SolverState.from_model(cs, model)
+        acc = gradient_accumulate(cs, state.cache)
+        sparse_acc = GradientAccumulators(sp.csr_matrix(acc.H), acc.count)
+        picks = [forward_exact(acc, lam, dim, cs=cs).basis, forward_exact(sparse_acc, lam, dim).basis,
+                 forward_heuristic(cs, state.cache, len(cs), rng, lam, dim).basis]
+        # a threshold of -inf always steps: the better of the two active moves
+        lazy = lazy_direction(state, -np.inf)
+        assert lazy.basis == BasisId._make(model.bases[lazy.atom].tolist())
+        for i, j, sign in picks + [lazy.basis]:
+            assert 0 <= i < j < dim and sign in (POS, NEG)
 
 
 class TestAwayDirection:
@@ -1012,6 +1051,58 @@ class TestLineSearch:
                 dphi = smoothed_hinge_deriv(m + gamma * u) @ u
                 scale = np.abs(u) @ (1.0 + np.abs(m) + gamma * np.abs(u))
                 assert abs(dphi) <= 64 * eps * scale
+
+    @staticmethod
+    def assert_reference_bits(m, b, kind, gmax, rows=None):
+        rows = np.arange(m.size) if rows is None else rows
+        d = Direction(kind, BasisId(0, 1, POS), gmax, 0.0, rows, b[rows])
+        got = line_search(MarginCache(m.copy()), d)
+        want = reference_line_search(MarginCache(m.copy()), d)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        return got
+
+    @staticmethod
+    def quarters(lo, hi):
+        # values on a grid of quarters put roots on the loss's kinks
+        return st.integers(4 * lo, 4 * hi).map(lambda q: q / 4)
+
+    @settings(max_examples=400, deadline=None)
+    @given(data=st.data(), T=st.integers(1, 30), kind=st.sampled_from("FA"),
+           on_grid=st.booleans(), gmax=st.one_of(st.just(1.0), st.floats(0.0, 1.0)))
+    def test_gamma_bits_match_reference(self, data, T, kind, on_grid, gmax):
+        # b far from m makes rows cross whole pieces between evaluations
+        margin = self.quarters(-2, 3) if on_grid else st.floats(-3.0, 4.0)
+        inner = self.quarters(-16, 16) if on_grid else st.floats(-1e3, 1e3)
+        m = np.array(data.draw(st.lists(margin, min_size=T, max_size=T)))
+        b = np.array(data.draw(st.lists(inner, min_size=T, max_size=T)))
+        rows = np.flatnonzero(data.draw(st.lists(st.booleans(), min_size=T, max_size=T)))
+        self.assert_reference_bits(m, b, kind, gmax, rows)
+
+    def test_each_return_matches_reference(self):
+        def phi_prime(m, u, gamma):
+            return float(smoothed_hinge_deriv(m + gamma * u) @ u)
+
+        # phi'(0) >= 0: no descent
+        assert self.assert_reference_bits(np.array([0.5]), np.array([-1.0]), "F", 1.0) == 0.0
+        # phi' < 0 on all of [0, gamma_max]
+        assert self.assert_reference_bits(np.array([0.0]), np.array([0.5]), "F", 1.0) == 1.0
+        # no row is on the quadratic piece at 0: zero curvature, a bisection
+        # to 0.5, where phi' is 0
+        m, b = np.array([0.0, 1.0]), np.array([1.0, 0.0])
+        assert self.assert_reference_bits(m, b, "F", 1.0) == 0.5
+        # the root lies strictly between two adjacent floats, and lo is returned
+        m, u = np.array([1.25, -0.5, 0.75, 0.5]), np.array([-2.0, 1.0, 2.0, 0.5])
+        gamma = self.assert_reference_bits(m, m + u, "F", 1.0)
+        assert phi_prime(m, u, gamma) < 0.0 < phi_prime(m, u, np.nextafter(gamma, 1.0))
+        # a Newton step from 0.125 to 0.0216 takes row 2 from the zero piece
+        # to the linear one, across the quadratic piece: only the zero rows
+        # show the change, and the point is not the root
+        m, b = np.array([0.0, 1.0, -0.75]), np.array([1.25, -6.5, 14.75])
+        assert self.assert_reference_bits(m, b, "F", 1.0) == pytest.approx(0.0952, abs=1e-4)
+        # a Newton point whose rows keep their pieces
+        m, b = np.array([0.2, 0.9]), np.array([0.8, 0.4])
+        gamma = self.assert_reference_bits(m, b, "F", 1.0)
+        assert 0.0 < gamma < 1.0
 
     def test_train_reaches_tight_gap(self):
         # the instance of acceptance criterion 4: every step before the
@@ -1189,6 +1280,42 @@ class TestApplyStep:
                 np.testing.assert_array_equal(A.data[lo:hi], vals)
         assert {("F", False, False), ("F", True, False), ("A", True, True), ("A", True, False)} <= kinds
         assert ("F", False, True) in kinds or ("F", True, True) in kinds
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(3, 6), steps=st.integers(1, 80))
+    def test_trusted_models_hold_every_invariant(self, seed, dim, steps):
+        # forward steps to new bases, to dropped ones and to active atoms
+        # (their row carried), away steps from active atoms (some at
+        # gamma_max, which drops the atom) and full forward steps (which
+        # drop all others); no step re-checks its model, so each is checked
+        # here and matched against the dict reference
+        rng = np.random.default_rng(seed)
+        cs = random_instance(rng, dim, T=20)
+        m = random_model(rng, dim, int(rng.integers(1, 4)), lam=float(rng.uniform(0.5, 5.0)))
+        state = SolverState.from_model(cs, m)
+        atoms, cache = dict(m.atoms), init_cache(cs, m)
+        for _ in range(steps):
+            k = int(rng.integers(state.model.n_atoms))
+            move = rng.random()
+            if move < 0.35:
+                d = _atom_direction(state, "A", k, 0.0)
+                gamma = d.gamma_max if rng.random() < 0.3 else float(rng.uniform(0, d.gamma_max))
+            elif move < 0.55:
+                d = _atom_direction(state, "F", k, 0.0)
+                gamma = 1.0 if rng.random() < 0.05 else float(rng.uniform(0, 0.5))
+            else:
+                i, j = sorted(rng.choice(dim, 2, replace=False).tolist())
+                basis = BasisId(i, j, POS if rng.random() < 0.5 else NEG)
+                d = Direction("F", basis, 1.0, 0.0, *cs.pair_inners(*basis, state.model.lam))
+                gamma = 1.0 if rng.random() < 0.05 else float(rng.uniform(0, 0.5))
+            apply_step(state, d, gamma)
+            reference_apply_step(atoms, cache, d, gamma)
+            got = state.model
+            got.check_invariants()
+            assert not got.bases.flags.writeable and not got.alpha.flags.writeable
+            assert got == Model.from_arrays(got.lam, got.dim, got.bases, got.alpha)
+            assert list(got.atoms.items()) == list(atoms.items())
+            np.testing.assert_array_equal(state.cache.margins, cache.margins)
 
 
 class TestFwGap:
@@ -1480,6 +1607,35 @@ class TestTrain:
         _, history = train(cs, cfg)
         # one per iteration, plus one for the initial forward call
         assert len(calls) <= len(history) + 1
+
+    @pytest.mark.parametrize("snapshot", [False, True])
+    def test_invariants_checked_per_recompute_and_on_return(self, snapshot, monkeypatch):
+        checked = []
+        check = Model.check_invariants
+
+        def counted(model):
+            checked.append(model)
+            check(model)
+
+        monkeypatch.setattr(Model, "check_invariants", counted)
+        monkeypatch.setattr(solver_mod, "RECOMPUTE_EVERY", 10)
+        cs = random_instance(np.random.default_rng(86), 15, T=40)
+        seen = []
+
+        def falling(m):
+            # the first snapshot scores best, so it is the one returned
+            seen.append(m)
+            return -len(seen)
+
+        val = dict(val_fn=falling, eval_every=5, patience=100) if snapshot else {}
+        model, history = train(cs, SolverConfig(lam=2.0, max_iters=35, gap_tol=0.0, **val))
+        assert len(history) == 35
+        if snapshot:
+            assert model is seen[0]
+        # the placeholder Model(...), the recomputes at k = 10, 20 and 30, and
+        # the returned model; no step checks its own
+        assert len(checked) == 5 and checked[-1] is model
+        assert len({id(m) for m in checked[:4]}) == 4
 
     def test_drift_over_bound_raises(self, monkeypatch):
         import hdsl.solver as solver_mod

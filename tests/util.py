@@ -132,6 +132,47 @@ def reference_apply_step(atoms: dict, cache: MarginCache, d, gamma: float) -> No
     update_cache_sparse(cache, d.kind, gamma, d.inner_rows, d.inner_vals)
 
 
+def reference_line_search(cache: MarginCache, d) -> float:
+    """The reference for line_search's gamma bits, evaluated the plain way:
+    every evaluation, gamma = 0 included, builds l' from the margins, the
+    quadratic mask and each row's piece (0 linear, 1 quadratic, 2 zero)
+    afresh, where line_search reads l' at 0 from cache.derivs(), reuses one
+    buffer and compares two masks."""
+    gmax = d.gamma_max
+    if gmax <= 0:
+        return 0.0
+    m = cache.margins
+    b = np.zeros(m.size)
+    b[d.inner_rows] = d.inner_vals
+    u = b - m if d.kind == "F" else m - b
+    u2 = u * u
+
+    def deriv(gamma: float):
+        ld = np.clip(m + gamma * u - 1.0, -1.0, 0.0)
+        quad = (ld > -1.0) & (ld < 0.0)
+        return float(ld @ u), float(u2 @ quad), quad + 2 * (ld == 0.0)
+
+    dphi, curv, piece = deriv(0.0)
+    if dphi >= 0.0:
+        return 0.0
+    if deriv(gmax)[0] <= 0.0:
+        return gmax
+    lo, hi, gamma = 0.0, gmax, 0.0
+    while True:
+        newton = gamma - dphi / curv if curv > 0.0 else hi
+        nxt = newton if lo < newton < hi else 0.5 * (lo + hi)
+        if not lo < nxt < hi:
+            return lo
+        dphi_n, curv, piece_n = deriv(nxt)
+        if dphi_n == 0.0 or (nxt == newton and np.array_equal(piece, piece_n)):
+            return nxt
+        if dphi_n < 0.0:
+            lo = nxt
+        else:
+            hi = nxt
+        gamma, dphi, piece = nxt, dphi_n, piece_n
+
+
 def reference_partner_scores(cs: ConstraintSet, tri, g, count, lam, i, diag):
     """The partner scorer with a sign for every partner: row i of the batch
     pair matrix h = v^T P, scores lam * (diag[i] + diag - |h|) with
