@@ -5,7 +5,9 @@ two-stage heuristic search), compares it with the best away direction over
 the active atoms, steps to the exact minimiser of the objective along the
 chosen direction, and updates the model weights plus the margin cache in O(T).
 An exact solve skips the oracle while a step inside the active set gains a
-share of the last certified gap (lazy_direction; Braun, Pokutta & Zink 2017).
+share of the last certified gap (lazy_direction; Braun, Pokutta & Zink 2017);
+a heuristic solve skips it while the away step gains at least as much as the
+best step of the last oracle iteration, and takes no lazy forward steps.
 The exact oracle accumulates over constraint supports, and after its first
 call only over the constraints whose loss derivative changed; it makes
 passes over all d^2 feature pairs only while a dense d x d array fits
@@ -344,7 +346,15 @@ def forward_heuristic(
     count = subset.size
     active = subset[g[subset] != 0.0]
     tri, g_active = cs.local[active], g[active]
-    diag = cs.XD[active].T @ g_active / count
+    # the active rows of XD read from its CSR arrays, with no scipy row
+    # gather, and binned by feature in row order: the sums of XD[active]^T
+    # g_active, bit for bit, in O(nnz of the batch's rows), not O(T)
+    XD = cs.XD
+    starts = XD.indptr[active]
+    lens = XD.indptr[active + 1] - starts
+    at = np.arange(lens.sum()) + np.repeat(starts - (np.cumsum(lens) - lens), lens)
+    diag = np.bincount(XD.indices[at], weights=XD.data[at] * np.repeat(g_active, lens),
+                       minlength=cs.dim) / count
 
     i0 = int(rng.integers(dim))
     scores1, _ = _partner_scores(cs, tri, g_active, count, lam, i0, diag)
@@ -399,19 +409,24 @@ def away_direction(state: "SolverState", acc: Optional[GradientAccumulators] = N
     return _atom_direction(state, "A", k, scores[k])
 
 
-def lazy_direction(state: "SolverState", threshold: float) -> Optional[Direction]:
+def lazy_direction(
+    state: "SolverState", threshold: float, forward: bool = True
+) -> Optional[Direction]:
     """The better step inside the active set if it gains at least
     `threshold`, else None; no oracle runs.
 
     From one _active_scores product s, the best active forward vertex
-    gains <M, grad f> - min s and the away vertex max s - <M, grad f> (only
-    with K > 1); forward wins ties, as in choose_direction.
+    gains <M, grad f> - min s (only when `forward`) and the away vertex
+    max s - <M, grad f> (only with K > 1); forward wins ties, as in
+    choose_direction.
     """
     scores, bases, gm = _active_scores(state), state.model.bases, state.cache.grad_inner()
-    f, a = _lex_min_candidate(scores, bases), _lex_min_candidate(-scores, bases)
-    fwd_gain = gm - scores[f]
-    away_gain = scores[a] - gm if len(bases) > 1 else -math.inf
-    kind, k, gain = ("F", f, fwd_gain) if fwd_gain >= away_gain else ("A", a, away_gain)
+    a = _lex_min_candidate(-scores, bases)
+    kind, k, gain = "A", a, scores[a] - gm if len(bases) > 1 else -math.inf
+    if forward:
+        f = _lex_min_candidate(scores, bases)
+        if gm - scores[f] >= gain:
+            kind, k, gain = "F", f, gm - scores[f]
     return _atom_direction(state, kind, k, scores[k]) if gain >= threshold else None
 
 
@@ -585,8 +600,13 @@ def _gap_rounding_cap(cs: ConstraintSet, lam: float) -> float:
     """A bound on _gap_rounding for any model of `cs`: |l'| <= 1, and every
     margin and basis inner product is lam (x_i +/- x_j)(d_i +/- d_j), at most
     m_max = 8 lam max|P|^2, so the term is at most 2 eps m_max T. Doubled,
-    so that rounding in the margins themselves cannot carry it past."""
-    m_max = 8.0 * lam * float(abs(cs.P).max()) ** 2
+    so that rounding in the margins themselves cannot carry it past.
+    Raises ValueError when m_max is not finite: the margins could overflow."""
+    x_max = float(abs(cs.P).max())
+    m_max = 8.0 * lam * (x_max * x_max)
+    if not math.isfinite(m_max):
+        raise ValueError(f"8 * lambda * max|x|^2 is not finite (max|x| = {x_max:.3g}): "
+                         "the margins could overflow")
     return 4.0 * float(np.finfo(np.float64).eps) * m_max * len(cs)
 
 
@@ -625,7 +645,8 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
     improved for `patience` evaluations; with a validation hook the
     best-scoring snapshot is returned. Steps build their models unchecked
     (apply_step); Model.check_invariants runs at each RECOMPUTE_EVERY
-    recompute and on the returned model.
+    recompute and on the returned model. Raises ValueError when
+    8 * lam * max|x|^2 is not finite (_gap_rounding_cap).
     """
     if len(cs) == 0:
         raise ValueError("empty constraint set")
@@ -641,7 +662,9 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
     best_val = -np.inf
     best_model: Optional[Model] = None
     stale_evals = 0
-    phi = 0.0  # the last certified gap; lazy steps need a positive one
+    # the last oracle iteration's gap (exact) or best step gain (heuristic);
+    # lazy steps need a positive one
+    phi = 0.0
 
     for k in range(cfg.max_iters):
         drift = stat_drift = None
@@ -655,14 +678,22 @@ def train(cs: ConstraintSet, cfg: SolverConfig) -> Tuple[Model, List[dict]]:
             state.model.check_invariants()
 
         # a validating or last iteration always runs the oracle, so every
-        # row that can end a run carries a certified gap
+        # row that can end a run carries a gap (certified when exact)
         validates = cfg.val_fn is not None and k % cfg.eval_every == 0
         chosen = gap = stat_rows = None
-        if cfg.oracle == "exact" and phi > 0.0 and not validates and k < cfg.max_iters - 1:
-            chosen = lazy_direction(state, phi / LAZY_KAPPA)
+        if cfg.oracle != "minibatch" and phi > 0.0 and not validates and k < cfg.max_iters - 1:
+            if cfg.oracle == "exact":
+                chosen = lazy_direction(state, phi / LAZY_KAPPA)
+            else:
+                # heuristic: away steps only, at the full gain of the last
+                # oracle step; lazy forward steps to active atoms keep the
+                # two-stage search from finding new ones
+                chosen = lazy_direction(state, phi, forward=False)
         if chosen is None:
             fwd, away, stat_rows = _directions(cs, state, cfg, rng)
             phi = gap = fw_gap(state, fwd)
+            if cfg.oracle == "heuristic" and away.gamma_max > 0.0:
+                phi = max(gap, away.score - state.cache.grad_inner())
             chosen = choose_direction(fwd, away, state.cache)
         record = {"k": k, "objective": objective(state.cache), "gap": gap,
                   "atoms": state.model.n_atoms, "features": len(state.model.feature_set())}

@@ -92,6 +92,23 @@ class TestTrain:
         assert summary["oracle_calls"] == len(rows) - len(lazy) > 0
         assert summary["gap"] == rows[-1]["gap"] is not None
 
+    @pytest.mark.parametrize("oracle", ["exact", "minibatch", "heuristic"])
+    def test_overflowing_margins_exit_4(self, tmp_path, oracle, capsys):
+        # 30 points, one feature at 1e200: 8 lam max|x|^2 overflows, and
+        # train refuses the set with one error line before any model is written
+        data, out = tmp_path / "big.svm", tmp_path / "m.hdsl"
+        rng = np.random.default_rng(0)
+        values = rng.uniform(-1.0, 1.0, size=(30, 3)).round(3)
+        values[7, 0] = 1e200
+        data.write_text("".join(f"{t % 3} " + " ".join(f"{f + 1}:{v!r}" for f, v in enumerate(row))
+                                + "\n" for t, row in enumerate(values.tolist())))
+        code = run(["train", "--data", data, "--lambda", 1, "--iters", 20, "--oracle", oracle,
+                    "--out", out])
+        err = capsys.readouterr().err
+        assert code == 4 and err.startswith("error: ") and err.count("\n") == 1
+        assert "margins could overflow" in err and "Traceback" not in err
+        assert not out.exists()
+
     def test_constraint_file_round_trip(self, tmp_path, labeled_file, capsys):
         trip = tmp_path / "t.txt"
         trip.write_text("0 1 12\n2 3 13\n")

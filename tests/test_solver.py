@@ -760,8 +760,8 @@ class TestForwardHeuristic:
         assert zero_picks > 0
 
     def test_diag_bit_equal_to_entrywise_bincount(self, monkeypatch):
-        # the diagonal is one product XD[active]^T g / count; its sums add
-        # the entries in the order batch_diag's bincount did, so both
+        # the diagonal bins the batch's XD entries by feature, in the
+        # order batch_diag's bincount does, so both
         # stages score with the same bits, an all-satisfied batch included
         real = solver_mod._partner_scores
         diags = []
@@ -781,6 +781,31 @@ class TestForwardHeuristic:
             batch = np.sort(np.random.default_rng(seed).choice(len(cs), size=size, replace=False))
             g = cache.derivs()
             want = batch_diag(cs, g, batch[g[batch] != 0.0], size)
+            assert [d.tobytes() for d in diags[-2:]] == [want.tobytes()] * 2
+
+    def test_diag_bit_equal_to_row_gather(self, monkeypatch):
+        # the diagonal read from XD's CSR arrays holds the bits of the
+        # gathered product XD[active]^T g_active / count, signs of zeros
+        # included, an all-satisfied batch and a full batch among the draws
+        real = solver_mod._partner_scores
+        diags = []
+
+        def recording(cs, tri, g, count, lam, i, diag):
+            diags.append(diag)
+            return real(cs, tri, g, count, lam, i, diag)
+
+        monkeypatch.setattr(solver_mod, "_partner_scores", recording)
+        rng = np.random.default_rng(40)
+        for seed in range(30):
+            cs = random_instance(rng, int(rng.integers(4, 400)), T=int(rng.integers(1, 300)))
+            low = 1.0 if seed % 5 == 0 else -0.5
+            cache = MarginCache(rng.uniform(low, 1.5, size=len(cs)))
+            size = len(cs) if seed % 7 == 0 else int(rng.integers(1, len(cs) + 1))
+            forward_heuristic(cs, cache, size, np.random.default_rng(seed), 1.5, cs.dim)
+            batch = np.sort(np.random.default_rng(seed).choice(len(cs), size=size, replace=False))
+            g = cache.derivs()
+            active = batch[g[batch] != 0.0]
+            want = cs.XD[active].T @ g[active] / size
             assert [d.tobytes() for d in diags[-2:]] == [want.tobytes()] * 2
 
     @pytest.mark.parametrize("sparse", [False, True])
@@ -1369,6 +1394,15 @@ class TestGapRoundingCap:
         assert cache.margins[0] == 8 * lam
         assert _gap_rounding_cap(cs, lam) == 4 * eps * 8 * lam * len(cs)
 
+    @pytest.mark.parametrize("oracle", ["exact", "minibatch", "heuristic"])
+    def test_overflowing_margins_rejected(self, oracle):
+        # 8 lam max|x|^2 overflows: train refuses the set before any step,
+        # with every oracle, instead of failing on a float power
+        ds = Dataset([sv([(0, 1e200), (1, 1.0)], 3), sv([(1, 1.0)], 3), sv([(2, 1.0)], 3)])
+        cs = ConstraintSet(ds, np.array([[0, 1, 2]]))
+        with pytest.raises(ValueError, match="margins could overflow"):
+            train(cs, SolverConfig(lam=1.0, max_iters=5, oracle=oracle, batch_size=1))
+
 
 class TestGapCertifiesSuboptimality:
     def test_gap_upper_bounds_distance_to_optimum(self):
@@ -1438,7 +1472,7 @@ class TestLazyRule:
             gain = gm - score if d.kind == "F" else score - gm
             assert gain >= threshold - 1e-12 * max(1.0, abs(gm))
 
-    @pytest.mark.parametrize("oracle", ["minibatch", "heuristic"])
+    @pytest.mark.parametrize("oracle", ["minibatch"])
     def test_sampled_oracles_are_never_lazy(self, oracle, monkeypatch):
         def refuse(state, threshold):
             raise AssertionError("lazy step on a sampled oracle")
@@ -1448,6 +1482,78 @@ class TestLazyRule:
         cfg = SolverConfig(lam=2.0, max_iters=200, oracle=oracle, batch_size=10, gap_tol=0.0)
         _, hist = train(cs, cfg)
         assert len(hist) == 200 and all(h["gap"] is not None for h in hist)
+
+    def test_heuristic_is_lazy_on_away_steps_only(self, monkeypatch):
+        # the instance on which the heuristic oracle was never lazy: some
+        # rows now skip the oracle, each with an away step asked for
+        # without forward moves at the full gain of the last oracle step
+        calls, lazy = [], solver_mod.lazy_direction
+
+        def recorded(state, threshold, forward=True):
+            calls.append(forward)
+            return lazy(state, threshold, forward)
+
+        monkeypatch.setattr(solver_mod, "lazy_direction", recorded)
+        cs = random_instance(np.random.default_rng(88), 15, T=40)
+        cfg = SolverConfig(lam=2.0, max_iters=200, oracle="heuristic", batch_size=10, gap_tol=0.0)
+        _, hist = train(cs, cfg)
+        skipped = [h for h in hist if h["gap"] is None]
+        assert len(hist) == 200 and hist[-1]["gap"] is not None
+        assert skipped and all(h["step"] == "A" for h in skipped)
+        assert calls and not any(calls)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), dim=st.integers(4, 10), T=st.integers(8, 50),
+           lam=st.floats(0.5, 10.0), iters=st.integers(1, 60), batch=st.integers(1, 50),
+           eval_every=st.integers(1, 8), patience=st.one_of(st.none(), st.integers(1, 4)))
+    def test_heuristic_lazy_steps_are_away_steps_that_gain_phi(
+        self, seed, dim, T, lam, iters, batch, eval_every, patience
+    ):
+        # phi is the last oracle row's better step gain: its gap, or the
+        # away vertex's gain when an away step is possible
+        cs = random_instance(np.random.default_rng(seed), dim, T=T)
+        val = {} if patience is None else dict(
+            val_fn=lambda m: -float(m.n_atoms), eval_every=eval_every, patience=patience)
+        oracle_models, steps = [], []
+        directions, lazy = solver_mod._directions, solver_mod.lazy_direction
+
+        def recorded_directions(cs, state, cfg, rng):
+            oracle_models.append(state.model)
+            return directions(cs, state, cfg, rng)
+
+        def recorded_lazy(state, threshold, forward=True):
+            d = lazy(state, threshold, forward)
+            if d is not None:
+                steps.append((state.model, threshold, forward, d))
+            return d
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver_mod, "_directions", recorded_directions)
+            mp.setattr(solver_mod, "lazy_direction", recorded_lazy)
+            _, hist = train(cs, SolverConfig(lam=lam, max_iters=iters, oracle="heuristic",
+                                             batch_size=min(batch, T), gap_tol=0.0, seed=seed,
+                                             **val))
+        assert hist[-1]["gap"] is not None
+        assert all(h["gap"] is not None for h in hist if "val_metric" in h)
+        assert sum(h["gap"] is None for h in hist) == len(steps)
+        # the first _directions call picks the starting atom, before row 0
+        phi, models, lazy_steps = 0.0, iter(oracle_models[1:]), iter(steps)
+        for h in hist:
+            if h["gap"] is not None:
+                model = next(models)
+                grad = dense_gradient(cs, dense_margins(cs, model))
+                gm = float(np.sum(dense_model_matrix(model) * grad))
+                away = max(basis_score(grad, BasisId._make(b), lam) for b in model.bases.tolist())
+                phi = max(h["gap"], away - gm) if model.n_atoms > 1 else h["gap"]
+                phi_tol = 1e-12 * max(1.0, abs(gm))
+                continue
+            model, threshold, forward, d = next(lazy_steps)
+            assert not forward and d.kind == h["step"] == "A"
+            assert "stat_rows" not in h and d.basis in model.atoms and model.n_atoms > 1
+            assert threshold > 0.0 and threshold == pytest.approx(phi, rel=0.0, abs=phi_tol)
+            grad = dense_gradient(cs, dense_margins(cs, model))
+            gm = float(np.sum(dense_model_matrix(model) * grad))
+            assert basis_score(grad, d.basis, lam) - gm >= phi - phi_tol - 1e-12 * max(1.0, abs(gm))
 
     def test_no_active_gain_keeps_the_eager_bits(self, monkeypatch):
         # recovery-exact's regime at a smaller size: every oracle pick is a
